@@ -15,7 +15,7 @@ from .fieldsolve import (  # noqa: F401
     FieldSolution, Mesh, boundary_fields, build_mesh, solve_potential,
 )
 from .participation import (  # noqa: F401
-    ParticipationBudget, apply_hf_scaling, budget_shares, bulk_participation,
+    ParticipationBudget, budget_shares, bulk_participation,
     loss_budget, simulate_budget, thin_layer_participation,
 )
 from .s21fit import (  # noqa: F401

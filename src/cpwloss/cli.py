@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from . import __version__
 from .errors import CpwLossError, ConfigError, FitError, MeshError, SolveError
@@ -21,15 +21,20 @@ from .fieldsolve import build_mesh, dump_fields_csv, solve_potential
 CONFIG_ENV_VAR = "CPWLOSS_CONFIG"
 
 
-def _fmt(x):
-    """Stable scientific-notation float formatting for reports."""
-    if isinstance(x, float):
-        return float(f"{x:.9e}")
-    return x
+def _plain(obj):
+    """JSON-ready copy: floats kept to 10 significant digits, non-finite
+    floats as null (JSON has no NaN), tuples as lists."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float):
+        return float(f"{obj:.9e}") if math.isfinite(obj) else None
+    return obj
 
 
 def _json_dump(obj, path_or_none):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_fmt) + "\n"
+    text = json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
     if path_or_none:
         with open(path_or_none, "w") as fh:
             fh.write(text)
@@ -38,20 +43,11 @@ def _json_dump(obj, path_or_none):
 
 
 def _budget_record(budget):
-    return {
-        "label": budget.label,
-        "entries": [
-            {
-                "region": e.region,
-                "participation": _fmt(e.participation),
-                "loss_tangent": _fmt(e.loss_tangent),
-                "contribution": _fmt(e.contribution),
-            }
-            for e in budget.entries
-        ],
-        "total_f_tan_delta": _fmt(budget.total),
-        "notes": list(budget.notes),
-    }
+    record = asdict(budget)
+    record["entries"] = [dict(asdict(e), contribution=e.contribution)
+                         for e in budget.entries]
+    record["total_f_tan_delta"] = budget.total
+    return record
 
 
 def _resolve_stack(args):
@@ -81,14 +77,11 @@ def cmd_simulate(args):
         "tool_version": __version__,
         "provenance": provenance,
         "refinement_level": args.refinement,
-        "config": {k: _fmt(v) if isinstance(v, float) else v
-                   for k, v in stack.to_config().items()},
+        "config": stack.to_config(),
         "mesh_cells": mesh.n_cells,
-        "capacitance_per_length_f_per_m": _fmt(solution.capacitance_per_length),
+        "capacitance_per_length_f_per_m": solution.capacitance_per_length,
         "budget": _budget_record(budget),
-        "shares_percent": {
-            k: _fmt(v) for k, v in participation.budget_shares(budget).items()
-        },
+        "shares_percent": participation.budget_shares(budget),
     }
     if args.output:
         _json_dump(record, args.output)
@@ -123,26 +116,14 @@ def cmd_budget(args):
     return 0
 
 
-def _fit_record(fit):
-    return {
-        "label": fit.label,
-        "f_r": _fmt(fit.f_r), "f_r_err": _fmt(fit.f_r_err),
-        "q_l": _fmt(fit.q_l), "q_l_err": _fmt(fit.q_l_err),
-        "q_c": _fmt(fit.q_c), "q_c_err": _fmt(fit.q_c_err),
-        "q_i": _fmt(fit.q_i), "q_i_err": _fmt(fit.q_i_err),
-        "phi": _fmt(fit.phi), "a": _fmt(fit.a),
-        "alpha": _fmt(fit.alpha), "tau": _fmt(fit.tau),
-    }
-
-
 def cmd_fit_s21(args):
     records = []
     for path in sorted(args.traces):
         trace = s21fit.read_trace(path, fmt=args.format, power_dbm=args.power_dbm)
         fit = s21fit.fit_s21(trace)
-        rec = _fit_record(fit)
+        rec = asdict(fit)
         if args.power_dbm is not None:
-            rec["n_photon"] = _fmt(s21fit.photon_number(args.power_dbm, fit))
+            rec["n_photon"] = s21fit.photon_number(args.power_dbm, fit)
         records.append(rec)
         print(f"{path}: f_r={fit.f_r:.6e} Hz  Q_l={fit.q_l:.4e}  "
               f"Q_i={fit.q_i:.4e}  Q_c={fit.q_c:.4e}")
@@ -151,33 +132,14 @@ def cmd_fit_s21(args):
     return 0
 
 
-def _tls_record(fit):
-    return {
-        "chip": fit.chip, "resonator": fit.resonator,
-        "f_r": _fmt(fit.f_r), "temperature": _fmt(fit.temperature),
-        "f_tan_delta0": _fmt(fit.f_tan_delta0),
-        "f_tan_delta0_err": _fmt(fit.f_tan_delta0_err),
-        "n_c": _fmt(fit.n_c), "n_c_err": _fmt(fit.n_c_err),
-        "b": _fmt(fit.b), "b_err": _fmt(fit.b_err),
-        "delta_other": _fmt(fit.delta_other),
-        "delta_other_err": _fmt(fit.delta_other_err),
-        "reduced_chi2": None if np.isnan(fit.reduced_chi2)
-        else _fmt(fit.reduced_chi2),
-        "flags": list(fit.flags),
-    }
-
-
 def cmd_fit_tls(args):
     records = []
     for path in sorted(args.sweeps):
         sweep = tlsfit.read_sweep(path)
         fit = tlsfit.fit_tls(sweep)
-        rec = _tls_record(fit)
-        rec["input"] = str(path)
         ends = tlsfit.q_low_high(fit, sweep)
-        rec["q_i_low"] = _fmt(ends.q_low)
-        rec["q_i_high"] = _fmt(ends.q_high)
-        rec["q_i_low_extrapolated"] = ends.extrapolated
+        rec = dict(asdict(fit), input=str(path), q_i_low=ends.q_low,
+                   q_i_high=ends.q_high, q_i_low_extrapolated=ends.extrapolated)
         records.append(rec)
         flagtxt = f"  [{','.join(fit.flags)}]" if fit.flags else ""
         print(f"{path}: F*tan_d0={fit.f_tan_delta0:.4e}  n_c={fit.n_c:.4g}  "
@@ -188,6 +150,7 @@ def cmd_fit_tls(args):
 
 
 def cmd_stats(args):
+    tls_fields = [f.name for f in fields(tlsfit.TlsFit)]
     fits = []
     q_lows, q_highs = [], []
     for path in sorted(args.records):
@@ -196,12 +159,11 @@ def cmd_stats(args):
         if isinstance(data, dict):
             data = [data]
         for rec in data:
-            fits.append(tlsfit.TlsFit(
-                f_tan_delta0=rec["f_tan_delta0"],
-                n_c=rec["n_c"], b=rec["b"], delta_other=rec["delta_other"],
-                f_tan_delta0_err=rec.get("f_tan_delta0_err", 0.0),
-                chip=rec.get("chip", ""), resonator=rec.get("resonator", ""),
-            ))
+            # fit-tls writes a non-finite reduced_chi2 as null
+            fits.append(tlsfit.TlsFit(**{
+                name: math.nan if rec[name] is None else rec[name]
+                for name in tls_fields if name in rec
+            }))
             if "q_i_low" in rec:
                 q_lows.append(rec["q_i_low"])
             if "q_i_high" in rec:
@@ -212,33 +174,11 @@ def cmd_stats(args):
         simulated_total=args.simulated_total,
     )
     wm = summary.f_tan_delta0
-    record = {
-        "chip": summary.chip,
-        "sample_holder": summary.sample_holder,
-        "n_resonators": summary.n_resonators,
-        "weighted_mean_f_tan_delta0": {
-            "mean": _fmt(wm.mean),
-            "uncertainty": _fmt(wm.uncertainty),
-            "spread": _fmt(wm.spread),
-            "displayed_error": "spread",
-        },
-        "boxplots": {
-            name: {
-                "q1": _fmt(b.q1), "mean": _fmt(b.mean), "q3": _fmt(b.q3),
-                "whisker_low": _fmt(b.whisker_low),
-                "whisker_high": _fmt(b.whisker_high),
-                "outliers": [_fmt(v) for v in b.outliers],
-            }
-            for name, b in summary.boxplots.items()
-        },
-    }
-    if summary.comparison is not None:
-        c = summary.comparison
-        record["comparison"] = {
-            "measured": _fmt(c.measured), "simulated": _fmt(c.simulated),
-            "ratio": _fmt(c.ratio), "difference": _fmt(c.difference),
-            "underestimated": c.underestimated,
-        }
+    record = asdict(summary)
+    record["weighted_mean_f_tan_delta0"] = dict(
+        record.pop("f_tan_delta0"), displayed_error="spread")
+    if summary.comparison is None:
+        del record["comparison"]
     print(f"{summary.chip}: F*tan_d0 = {wm.mean:.3e} +/- {wm.spread:.3e} "
           f"(spread; standard error {wm.uncertainty:.3e}), "
           f"{summary.n_resonators} resonators")
@@ -361,11 +301,11 @@ def cmd_reproduce_tables(args):
                       f"{e.participation:>12.3g}{p_ref:>12.3g}"
                       f"{e.contribution:>13.3g}{c_ref:>13.3g}{dev:>8.1f}")
                 rows[e.region] = {
-                    "participation": _fmt(e.participation),
-                    "participation_ref": _fmt(p_ref),
-                    "contribution": _fmt(e.contribution),
-                    "contribution_ref": _fmt(c_ref),
-                    "deviation_percent": _fmt(dev),
+                    "participation": e.participation,
+                    "participation_ref": p_ref,
+                    "contribution": e.contribution,
+                    "contribution_ref": c_ref,
+                    "deviation_percent": dev,
                 }
                 if c_ref:
                     worst = max(worst, abs(dev))
@@ -376,9 +316,9 @@ def cmd_reproduce_tables(args):
                   f"{budget.total:>13.3g}{t_ref:>13.3g}{t_dev:>8.1f}")
             report[label] = {
                 "rows": rows,
-                "total": _fmt(budget.total),
-                "total_ref": _fmt(t_ref),
-                "total_deviation_percent": _fmt(t_dev),
+                "total": budget.total,
+                "total_ref": t_ref,
+                "total_deviation_percent": t_dev,
             }
     print(f"\nworst per-cell relative deviation: {worst:.1f}%")
     if args.output:

@@ -13,7 +13,7 @@ consumes the host-side boundary fields sampled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -277,11 +277,7 @@ class BoundarySamples:
     dl: np.ndarray  # arc-length weight per sample
     e_par: np.ndarray  # tangential field, V/m
     e_norm: np.ndarray  # normal field on the host side, V/m
-    host: str  # "air" or "substrate"
-
-    @property
-    def arclength(self):
-        return np.concatenate(([0.0], np.cumsum(self.dl)))[:-1] + self.dl / 2
+    host: str = "air"  # every contour is sampled on its air side
 
 
 def _one_sided(phi0, phi1, phi2, h1, h2):
@@ -312,8 +308,7 @@ def _trap_weights(coords, i0, i1):
 def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySamples:
     """Sample (E_par, E_norm) on the host side along an interface contour.
 
-    Host side is air for the metal-air and substrate-air contours, and the
-    substrate for the metal-substrate contour. Samples cover the half domain
+    The host side is air for every contour. Samples cover the half domain
     (x >= 0); integrals must be scaled by mesh.symmetry_factor.
     """
     mesh = solution.mesh
@@ -321,7 +316,7 @@ def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySample
     if stack is None:
         raise MeshError("boundary_fields requires a mesh built from a CpwStack")
     if region not in (RegionId.MetalAirTop, RegionId.MetalAirSide,
-                      RegionId.SubstrateAir, RegionId.MetalSubstrate):
+                      RegionId.SubstrateAir):
         raise MeshError(f"{region} is not an interface region")
 
     x, y, phi = mesh.x, mesh.y, solution.phi
@@ -337,27 +332,18 @@ def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySample
 
     xs, ys, dls, epars, enorms = [], [], [], [], []
 
-    def add_horizontal(jrow, ia, ib, up, e_par_from_phi):
-        """Samples along y = const, nodes ia..ib, normal pointing up or down."""
+    def add_horizontal(jrow, ia, ib, e_par_from_phi):
+        """Samples along y = const, nodes ia..ib, normal pointing up."""
         wts = _trap_weights(x, ia, ib)
         xs.append(x[ia : ib + 1])
         ys.append(np.full(ib - ia + 1, y[jrow]))
         dls.append(wts)
-        if up:
-            h1, h2 = y[jrow + 1] - y[jrow], y[jrow + 2] - y[jrow + 1]
-            en = -_one_sided(phi[ia:ib + 1, jrow], phi[ia:ib + 1, jrow + 1],
-                             phi[ia:ib + 1, jrow + 2], h1, h2)
-        else:
-            h1, h2 = y[jrow] - y[jrow - 1], y[jrow - 1] - y[jrow - 2]
-            en = _one_sided(phi[ia:ib + 1, jrow], phi[ia:ib + 1, jrow - 1],
-                            phi[ia:ib + 1, jrow - 2], h1, h2)
-        enorms.append(en)
+        h1, h2 = y[jrow + 1] - y[jrow], y[jrow + 2] - y[jrow + 1]
+        enorms.append(-_one_sided(phi[ia:ib + 1, jrow], phi[ia:ib + 1, jrow + 1],
+                                  phi[ia:ib + 1, jrow + 2], h1, h2))
         if e_par_from_phi:
-            row = phi[:, jrow]
-            ep = np.empty(ib - ia + 1)
-            for k, i in enumerate(range(ia, ib + 1)):
-                ep[k] = -(row[i + 1] - row[i - 1]) / (x[i + 1] - x[i - 1])
-            epars.append(ep)
+            epars.append(-(phi[ia + 1:ib + 2, jrow] - phi[ia - 1:ib, jrow])
+                         / (x[ia + 1:ib + 2] - x[ia - 1:ib]))
         else:
             epars.append(np.zeros(ib - ia + 1))
 
@@ -377,39 +363,30 @@ def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySample
                             phi[icol - 2, ja:jb + 1], h1, h2)
         enorms.append(en)
         if e_par_from_phi:
-            col = phi[icol, :]
-            ep = np.empty(jb - ja + 1)
-            for k, j in enumerate(range(ja, jb + 1)):
-                ep[k] = -(col[j + 1] - col[j - 1]) / (y[j + 1] - y[j - 1])
-            epars.append(ep)
+            epars.append(-(phi[icol, ja + 1:jb + 2] - phi[icol, ja - 1:jb])
+                         / (y[ja + 1:jb + 2] - y[ja - 1:jb]))
         else:
             epars.append(np.zeros(jb - ja + 1))
 
-    host = "air"
     if region == RegionId.MetalAirTop:
-        add_horizontal(jt, i0, iw, up=True, e_par_from_phi=False)  # trace top
-        add_horizontal(jt, ig, len(x) - 3, up=True, e_par_from_phi=False)  # ground top
+        add_horizontal(jt, i0, iw, e_par_from_phi=False)  # trace top
+        add_horizontal(jt, ig, len(x) - 3, e_par_from_phi=False)  # ground top
     elif region == RegionId.MetalAirSide:
         add_vertical(iw, j0, jt, right=True, e_par_from_phi=False)  # trace sidewall
         add_vertical(ig, j0, jt, right=False, e_par_from_phi=False)  # ground sidewall
-    elif region == RegionId.SubstrateAir:
+    else:  # SubstrateAir
         if td > 0:
             jd = _node_index(y, -td)
             add_vertical(iw, jd + 1, j0 - 1, right=True, e_par_from_phi=True)
-            add_horizontal(jd, iw + 1, ig - 1, up=True, e_par_from_phi=True)
+            add_horizontal(jd, iw + 1, ig - 1, e_par_from_phi=True)
             add_vertical(ig, jd + 1, j0 - 1, right=False, e_par_from_phi=True)
         else:
-            add_horizontal(j0, iw + 1, ig - 1, up=True, e_par_from_phi=True)
-    else:  # MetalSubstrate: substrate side below the metal footprint
-        host = "substrate"
-        add_horizontal(j0, i0, iw, up=False, e_par_from_phi=False)
-        add_horizontal(j0, ig, len(x) - 3, up=False, e_par_from_phi=False)
+            add_horizontal(j0, iw + 1, ig - 1, e_par_from_phi=True)
 
     return BoundarySamples(
         region=region,
         x=np.concatenate(xs), y=np.concatenate(ys), dl=np.concatenate(dls),
         e_par=np.concatenate(epars), e_norm=np.concatenate(enorms),
-        host=host,
     )
 
 
@@ -425,69 +402,25 @@ def solve_with_meshed_sa_layer(stack: CpwStack, eps_layer: float,
                                thickness: float, refinement_level: int = 2):
     """Validation mode: mesh the substrate-air oxide directly.
 
-    Builds the cross section with the gap-floor oxide as real cells (fine
-    rows inside the layer) and returns (solution, layer_energy_fraction).
-    Cross-checks the analytic thin-layer rule; only practical on geometries
-    where thickness/gap is not too extreme.
+    The gap-floor oxide is a filled trench built by `build_mesh`: a trench
+    as deep as the layer, whose cells get `eps_layer` and are booked under
+    the substrate. Returns (solution, layer_energy_fraction). Cross-checks
+    the analytic thin-layer rule; only practical on geometries where
+    thickness/gap is not too extreme.
     """
     if thickness <= 0:
         raise MeshError("layer thickness must be > 0 for direct meshing")
-    w2 = stack.trace_width / 2.0
-    xg = w2 + stack.gap
-    tm = stack.metal_thickness
-    xmax = stack.domain_halfwidth
-    ymin, ymax = -stack.domain_depth_substrate, stack.domain_height_air
-
-    fine = min(4e-9 / 2 ** (refinement_level - 1), thickness / 4)
-    ratio = 1.0 + 0.3 / 2 ** (refinement_level - 1)
-    hmax = xmax / 16.0
-    hmid = stack.trace_width / 16.0
-
-    xpts = _graded_axis([0.0, w2, xg, xmax], [hmid, fine, fine, hmax], ratio, hmax)
-    layer_rows = np.linspace(-thickness, 0.0, 5)
-    ypts_below = _graded_axis([ymin, -thickness], [hmax, fine], ratio, hmax)
-    ypts_above = _graded_axis([0.0, tm, ymax], [fine, fine, hmax], ratio, hmax)
-    ypts = np.concatenate([ypts_below, layer_rows[1:-1], ypts_above])
-
-    nx, ny = len(xpts), len(ypts)
-    xm = 0.5 * (xpts[:-1] + xpts[1:])[:, None]
-    ym = 0.5 * (ypts[:-1] + ypts[1:])[None, :]
-
-    in_metal = (ym > 0) & (ym < tm) & ((xm < w2) | (xm > xg))
-    in_layer = (ym < 0) & (ym > -thickness) & (xm > w2) & (xm < xg)
-    in_substrate = (ym < 0) & ~in_layer
-
-    region = np.full((nx - 1, ny - 1), CELL_AIR, dtype=np.int8)
-    region[in_substrate] = CELL_SUBSTRATE
-    region[in_metal] = CELL_METAL
-
-    eps_sub = stack.materials["substrate"].relative_permittivity
-    eps = np.ones_like(region, dtype=float)
-    eps[in_substrate] = eps_sub
-    eps[in_layer] = eps_layer
-
-    tol = 1e-15 + 1e-9 * min(tm, stack.gap)
-    xn = xpts[:, None]
-    yn = ypts[None, :]
-    band = (yn > -tol) & (yn < tm + tol)
-    dirichlet = np.zeros((nx, ny), dtype=bool)
-    value = np.zeros((nx, ny))
-    dirichlet[band & (xn < w2 + tol)] = True
-    value[band & (xn < w2 + tol)] = 1.0
-    dirichlet[band & (xn > xg - tol)] = True
-    dirichlet[:, 0] = True
-    dirichlet[:, -1] = True
-    dirichlet[-1, :] = True
-
-    mesh = Mesh(x=xpts, y=ypts, eps=eps, region=region, dirichlet=dirichlet,
-                dirichlet_value=value, stack=stack, symmetry_factor=2.0)
+    mesh = build_mesh(replace(stack, trench_depth=thickness), refinement_level)
+    ym = 0.5 * (mesh.y[:-1] + mesh.y[1:])
+    in_layer = (mesh.region == CELL_AIR) & (ym < 0)[None, :]
+    mesh.eps[in_layer] = eps_layer
+    mesh.region[in_layer] = CELL_SUBSTRATE
     solution = solve_potential(mesh)
 
-    dx = np.diff(xpts)[:, None]
-    dy = np.diff(ypts)[None, :]
-    u_cell = 0.5 * epsilon_0 * eps * (solution.ex**2 + solution.ey**2) * dx * dy
-    layer_energy = 2.0 * float(u_cell[in_layer].sum())
-    # layer energy was booked under the substrate; total is unchanged
+    dx = np.diff(mesh.x)[:, None]
+    dy = np.diff(mesh.y)[None, :]
+    u_cell = 0.5 * epsilon_0 * mesh.eps * (solution.ex**2 + solution.ey**2) * dx * dy
+    layer_energy = mesh.symmetry_factor * float(u_cell[in_layer].sum())
     return solution, layer_energy / solution.total_energy
 
 

@@ -63,16 +63,6 @@ class RegionId(enum.Enum):
     MetalAirTop = "metal_air_top"
     MetalAirSide = "metal_air_side"
     SubstrateAir = "substrate_air"
-    MetalSubstrate = "metal_substrate"
-
-
-BULK_REGIONS = (RegionId.Substrate, RegionId.Air)
-INTERFACE_REGIONS = (
-    RegionId.MetalAirTop,
-    RegionId.MetalAirSide,
-    RegionId.SubstrateAir,
-    RegionId.MetalSubstrate,
-)
 
 
 @dataclass(frozen=True)
@@ -109,11 +99,9 @@ class CpwStack:
     metal_thickness: float = 100e-9
     substrate_thickness: float = 775e-6
     trench_depth: float = 0.0
-    sidewall_angle: float = 90.0
     layer_MA_top: float = 3.7e-9
     layer_MA_side: float = 6.0e-9
     layer_SA: float = 2.5e-9
-    layer_MS: float = 0.0
     ma_scale: float = 1.0
     materials: dict = field(default_factory=lambda: dict(DEFAULT_MATERIALS))
     domain_halfwidth: float = 0.0  # 0 -> auto: 20 * (w + 2g)
@@ -151,13 +139,10 @@ class CpwStack:
             "layer_MA_top": self.layer_MA_top,
             "layer_MA_side": self.layer_MA_side,
             "layer_SA": self.layer_SA,
-            "layer_MS": self.layer_MS,
         }
         for name, value in nonneg.items():
             if value < 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        if self.sidewall_angle != 90.0:
-            raise ConfigError("only 90 degree sidewalls are supported")
         if not 0.0 < self.ma_scale <= 1.0:
             raise ConfigError(f"ma_scale must be in (0, 1], got {self.ma_scale}")
         for t in (self.layer_MA_top, self.layer_MA_side, self.layer_SA):
@@ -195,7 +180,6 @@ _LENGTH_KEYS = (
     "layer_MA_top",
     "layer_MA_side",
     "layer_SA",
-    "layer_MS",
     "domain_halfwidth",
     "domain_height_air",
     "domain_depth_substrate",
@@ -222,7 +206,7 @@ def build_stack(config: dict | None = None, **overrides) -> CpwStack:
                         loss_tangent=float(spec.get("loss_tangent", 0.0)),
                     )
             kwargs["materials"] = mats
-        elif key in ("sidewall_angle", "ma_scale"):
+        elif key == "ma_scale":
             kwargs[key] = float(value)
         else:
             raise ConfigError(f"unknown stack parameter {key!r}")

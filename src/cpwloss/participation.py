@@ -15,7 +15,7 @@ E_par = 0 by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import epsilon_0
@@ -140,28 +140,6 @@ def loss_budget(participations, loss_tangents, label: str = "",
     order = {r: k for k, r in enumerate(ROW_ORDER)}
     entries.sort(key=lambda e: order.get(e.region, len(order)))
     return ParticipationBudget(tuple(entries), label=label, notes=tuple(notes))
-
-
-def apply_hf_scaling(reference_budget: ParticipationBudget, ma_scale: float,
-                     zero_sa: bool = True) -> ParticipationBudget:
-    """Budget after surface treatment: metal-air participation scaled by
-    the remaining-oxide fraction, substrate-air oxide removed entirely."""
-    if not 0.0 < ma_scale <= 1.0:
-        raise ConfigError(f"ma_scale must be in (0, 1], got {ma_scale}")
-    entries = []
-    for e in reference_budget.entries:
-        if e.region == "metal_air":
-            entries.append(replace(e, participation=e.participation * ma_scale))
-        elif e.region == "substrate_air" and zero_sa:
-            entries.append(replace(e, participation=0.0, loss_tangent=0.0))
-        else:
-            entries.append(e)
-    notes = reference_budget.notes + (
-        f"metal-air participation scaled by {ma_scale:.3f}"
-        + ("; substrate-air oxide removed" if zero_sa else ""),
-    )
-    return ParticipationBudget(tuple(entries), label=reference_budget.label,
-                               notes=notes)
 
 
 def budget_shares(budget: ParticipationBudget) -> dict:

@@ -39,8 +39,11 @@ def weighted_mean(values) -> WeightedMean:
     mean = float(np.sum(w * x) / np.sum(w))
     unc = float(np.sqrt(1.0 / np.sum(w)))
     if n > 1:
-        # frequency-weight analogue of the Bessel-corrected sample variance
-        denom = np.sum(w) - np.sum(w**2) / np.sum(w)
+        # frequency-weight analogue of the Bessel-corrected sample variance;
+        # sum(w) - sum(w**2)/sum(w) equals 2 sum_{i<j} w_i w_j / sum(w),
+        # which has no cancellation when one weight dominates
+        suffix = np.cumsum(w[::-1])[::-1]
+        denom = 2.0 * np.sum(w[:-1] * suffix[1:]) / np.sum(w)
         spread = float(np.sqrt(np.sum(w * (x - mean) ** 2) / denom))
     else:
         spread = 0.0

@@ -9,6 +9,25 @@ def run(argv):
     return main(argv)
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def load(path):
+    """Parse CLI JSON strictly: NaN and Infinity are not JSON."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
+BUDGET_KEYS = {"label", "entries", "total_f_tan_delta", "notes"}
+ENTRY_KEYS = {"region", "participation", "loss_tangent", "contribution"}
+TLS_KEYS = {
+    "chip", "resonator", "f_r", "temperature", "f_tan_delta0",
+    "f_tan_delta0_err", "n_c", "n_c_err", "b", "b_err", "delta_other",
+    "delta_other_err", "reduced_chi2", "flags", "input", "q_i_low", "q_i_high",
+    "q_i_low_extrapolated",
+}
+
+
 def test_version_and_help(capsys):
     assert run(["--version"]) == 0
     capsys.readouterr()
@@ -30,7 +49,18 @@ def test_simulate_preset(tmp_path, capsys):
                 "--output", str(out)]) == 0
     text = capsys.readouterr().out
     assert "Total loss" in text
-    record = json.loads(out.read_text())
+    record = load(out)
+    assert set(record) == {
+        "tool_version", "provenance", "refinement_level", "config",
+        "mesh_cells", "capacitance_per_length_f_per_m", "budget",
+        "shares_percent"}
+    assert set(record["config"]) == {
+        "trace_width", "gap", "metal_thickness", "substrate_thickness",
+        "trench_depth", "layer_MA_top", "layer_MA_side", "layer_SA",
+        "ma_scale", "materials", "domain_halfwidth", "domain_height_air",
+        "domain_depth_substrate"}
+    assert set(record["budget"]) == BUDGET_KEYS
+    assert all(set(e) == ENTRY_KEYS for e in record["budget"]["entries"])
     assert record["budget"]["total_f_tan_delta"] > 0
     assert set(record["shares_percent"]) == {
         "substrate", "air", "metal_air", "substrate_air"}
@@ -46,7 +76,7 @@ def test_simulate_config_file_and_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CPWLOSS_CONFIG", str(cfg))
     out = tmp_path / "env.json"
     assert run(["simulate", "--refinement", "1", "--output", str(out)]) == 0
-    assert "CPWLOSS_CONFIG" in json.loads(out.read_text())["provenance"]
+    assert "CPWLOSS_CONFIG" in load(out)["provenance"]
 
 
 def test_simulate_bad_config(tmp_path):
@@ -74,7 +104,8 @@ def test_budget_entries(tmp_path, capsys):
         "--entry", "substrate_air:3.7e-4:1.7e-3",
         "--output", str(out),
     ]) == 0
-    record = json.loads(out.read_text())
+    record = load(out)
+    assert set(record) == BUDGET_KEYS
     assert record["total_f_tan_delta"] == pytest.approx(9.34e-7, rel=0.01)
 
 
@@ -86,7 +117,7 @@ def test_budget_input_file(tmp_path):
     ]))
     out = tmp_path / "out.json"
     assert run(["budget", "--input", str(src), "--output", str(out)]) == 0
-    record = json.loads(out.read_text())
+    record = load(out)
     assert record["total_f_tan_delta"] == pytest.approx(
         0.911 * 1.3e-7 + 1.87e-5 * 1e-2, rel=1e-9)
 
@@ -102,7 +133,8 @@ def test_synth_fit_tls_round_trip(tmp_path, capsys):
                 "--seed", "7", "--output", str(sweep)]) == 0
     out = tmp_path / "fit.json"
     assert run(["fit-tls", str(sweep), "--output", str(out)]) == 0
-    rec = json.loads(out.read_text())[0]
+    rec = load(out)[0]
+    assert set(rec) == TLS_KEYS
     assert rec["f_tan_delta0"] == pytest.approx(1e-6, rel=0.01)
     assert rec["n_c"] == pytest.approx(10.0, rel=0.01)
     assert rec["b"] == pytest.approx(0.4, rel=0.01)
@@ -117,7 +149,10 @@ def test_synth_fit_s21_round_trip(tmp_path):
     out = tmp_path / "fit.json"
     assert run(["fit-s21", str(trace), "--power-dbm", "-140",
                 "--output", str(out)]) == 0
-    rec = json.loads(out.read_text())[0]
+    rec = load(out)[0]
+    assert set(rec) == {
+        "label", "f_r", "f_r_err", "q_l", "q_l_err", "q_c", "q_c_err", "q_i",
+        "q_i_err", "phi", "a", "alpha", "tau", "n_photon"}
     assert rec["f_r"] == pytest.approx(6e9, rel=1e-7)
     assert rec["q_l"] == pytest.approx(5e5, rel=0.005)
     assert rec["n_photon"] > 0
@@ -166,10 +201,20 @@ def test_stats_pipeline(tmp_path, capsys):
     assert run(["stats", str(src), "--chip", "400C-ref", "--sample-holder", "A",
                 "--simulated-total", "9.3e-7", "--csv", str(csv_out),
                 "--output", str(out)]) == 0
-    summary = json.loads(out.read_text())
+    summary = load(out)
+    assert set(summary) == {"chip", "sample_holder", "n_resonators",
+                            "weighted_mean_f_tan_delta0", "boxplots",
+                            "comparison"}
+    assert set(summary["weighted_mean_f_tan_delta0"]) == {
+        "mean", "uncertainty", "spread", "displayed_error"}
+    assert set(summary["comparison"]) == {
+        "measured", "simulated", "ratio", "difference", "underestimated"}
     assert summary["n_resonators"] == 4
     assert summary["comparison"]["underestimated"] in (True, False)
     assert set(summary["boxplots"]) == {"f_tan_delta0", "q_i_low", "q_i_high"}
+    for box in summary["boxplots"].values():
+        assert set(box) == {"q1", "mean", "q3", "whisker_low",
+                            "whisker_high", "outliers"}
     header = csv_out.read_text().splitlines()[0]
     assert header.startswith("chip,quantity,q1,mean,q3")
 
@@ -180,7 +225,35 @@ def test_reproduce_tables(tmp_path, capsys):
                 "--output", str(out)]) == 0
     text = capsys.readouterr().out
     assert "worst per-cell relative deviation" in text
-    report = json.loads(out.read_text())["tables"]
+    record = load(out)
+    assert set(record) == {"tool_version", "refinement_level", "tables"}
+    report = record["tables"]
     assert len(report) == 6
     assert "400C reference" in report
     assert "500C hf_treated" in report
+    for table in report.values():
+        assert set(table) == {"rows", "total", "total_ref",
+                              "total_deviation_percent"}
+        assert all(set(row) == {"participation", "participation_ref",
+                                "contribution", "contribution_ref",
+                                "deviation_percent"}
+                   for row in table["rows"].values())
+
+
+def test_flat_sweep_record_round_trips_through_stats(tmp_path):
+    # a power-independent sweep has no TLS part; its reduced chi^2 is NaN,
+    # which fit-tls writes as null and stats reads back
+    sweep = tmp_path / "flat.csv"
+    assert run(["synth", "--tls", "F=0,nc=10,b=0.4,other=5e-8",
+                "--output", str(sweep)]) == 0
+    fit = tmp_path / "fit.json"
+    assert run(["fit-tls", str(sweep), "--output", str(fit)]) == 0
+    rec = load(fit)[0]
+    assert set(rec) == TLS_KEYS
+    assert rec["reduced_chi2"] is None
+    assert "insufficient-span" in rec["flags"]
+    out = tmp_path / "summary.json"
+    assert run(["stats", str(fit), "--chip", "flat", "--output", str(out)]) == 0
+    summary = load(out)
+    assert summary["n_resonators"] == 1
+    assert summary["weighted_mean_f_tan_delta0"]["mean"] == 0.0

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from cpwloss import CpwStack, MaterialConstants, build_stack, load_stack, save_stack
@@ -131,8 +129,10 @@ def test_config_round_trip(tmp_path):
 
 
 def test_unknown_config_key_rejected():
-    with pytest.raises(ConfigError):
-        build_stack({"trace_widht": "10 um"})
+    for key, value in (("trace_widht", "10 um"), ("sidewall_angle", 90.0),
+                       ("layer_MS", "1 nm")):
+        with pytest.raises(ConfigError):
+            build_stack({key: value})
 
 
 def test_overrides_win_over_config():
@@ -147,13 +147,6 @@ def test_stack_is_immutable():
 
 
 def test_ma_scale_bounds():
-    with pytest.raises(ConfigError):
-        CpwStack(ma_scale=0.0)
-    with pytest.raises(ConfigError):
-        CpwStack(ma_scale=1.2)
-
-
-def test_sidewall_angle_fixed():
-    with pytest.raises(ConfigError):
-        build_stack({"sidewall_angle": 75.0})
-    assert not math.isnan(build_stack({"sidewall_angle": 90.0}).sidewall_angle)
+    for scale in (0.0, -0.5, 1.2, 1.5):
+        with pytest.raises(ConfigError):
+            CpwStack(ma_scale=scale)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpwloss import (
-    RegionId, apply_hf_scaling, budget_shares, build_mesh, build_stack,
+    RegionId, budget_shares, build_mesh, build_stack,
     bulk_participation, loss_budget, simulate_budget, solve_potential,
     thin_layer_participation,
 )
@@ -87,34 +87,6 @@ def test_budget_shares_zero_total():
     budget = loss_budget({"air": 0.1}, {"air": 0.0})
     with pytest.raises(ConfigError):
         budget_shares(budget)
-
-
-def test_apply_hf_scaling_table_values():
-    ref = loss_budget(**{"participations": TABLE_REF_400C["participations"],
-                         "loss_tangents": TABLE_REF_400C["tangents"]})
-    hf = apply_hf_scaling(ref, 0.818)
-    assert hf.entry("metal_air").participation == pytest.approx(1.53e-5, rel=0.01)
-    assert hf.entry("substrate_air").participation == 0.0
-    assert hf.total == pytest.approx(2.72e-7, rel=0.01)
-    # substrate entry untouched
-    assert hf.entry("substrate") == ref.entry("substrate")
-
-
-def test_apply_hf_scaling_keep_sa():
-    ref = loss_budget(**{"participations": TABLE_REF_400C["participations"],
-                         "loss_tangents": TABLE_REF_400C["tangents"]})
-    scaled = apply_hf_scaling(ref, 1.0, zero_sa=False)
-    assert scaled.total == pytest.approx(ref.total)
-    only_sa_zeroed = apply_hf_scaling(ref, 1.0)
-    assert only_sa_zeroed.total == pytest.approx(3.05e-7, rel=0.01)
-
-
-def test_apply_hf_scaling_bad_scale():
-    ref = loss_budget(**{"participations": TABLE_REF_400C["participations"],
-                         "loss_tangents": TABLE_REF_400C["tangents"]})
-    for scale in (0.0, -0.5, 1.5):
-        with pytest.raises(ConfigError):
-            apply_hf_scaling(ref, scale)
 
 
 def test_bulk_participations_reference(ref_solution_l3):

@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpwloss import (
     boxplot_stats, compare_measured_vs_simulated, summarize_chip, weighted_mean,
@@ -57,6 +61,26 @@ def test_weighted_mean_fallback_unweighted():
 def test_weighted_mean_empty():
     with pytest.raises(ConfigError):
         weighted_mean([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-6.0, 6.0)),
+                min_size=2, max_size=8))
+def test_weighted_mean_spread_matches_exact_arithmetic(points):
+    # sigmas span up to twelve decades, so one weight can exceed the sum of
+    # the others by 1e24. The best-measured point sits at x = 0: rounding of
+    # the float mean then stays far below the spread, and what is checked
+    # is the Bessel-type denominator.
+    sigmas = [10.0**k for _, k in points]
+    best = sigmas.index(min(sigmas))
+    xs = [0.0 if i == best else x for i, (x, _) in enumerate(points)]
+    w = [1 / Fraction(s) ** 2 for s in sigmas]
+    total = sum(w)
+    mean = sum(wi * Fraction(x) for wi, x in zip(w, xs)) / total
+    num = sum(wi * (Fraction(x) - mean) ** 2 for wi, x in zip(w, xs))
+    denom = total - sum(wi * wi for wi in w) / total
+    exact = math.sqrt(num / denom)
+    assert weighted_mean(zip(xs, sigmas)).spread == pytest.approx(exact, rel=1e-12)
 
 
 def test_boxplot_simple_example():
