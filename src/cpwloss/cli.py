@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 from . import __version__
 from .errors import CpwLossError, ConfigError, FitError, MeshError, SolveError
@@ -79,6 +79,9 @@ def cmd_simulate(args):
         "refinement_level": args.refinement,
         "config": stack.to_config(),
         "mesh_cells": mesh.n_cells,
+        "solver": {"unknowns": solution.unknowns,
+                   "factor_nnz": solution.factor_nnz,
+                   "residual": solution.residual},
         "capacitance_per_length_f_per_m": solution.capacitance_per_length,
         "budget": _budget_record(budget),
         "shares_percent": participation.budget_shares(budget),
@@ -151,6 +154,8 @@ def cmd_fit_tls(args):
 
 def cmd_stats(args):
     tls_fields = [f.name for f in fields(tlsfit.TlsFit)]
+    required = [f.name for f in fields(tlsfit.TlsFit)
+                if f.default is MISSING and f.default_factory is MISSING]
     fits = []
     q_lows, q_highs = [], []
     for path in sorted(args.records):
@@ -158,7 +163,12 @@ def cmd_stats(args):
             data = json.load(fh)
         if isinstance(data, dict):
             data = [data]
-        for rec in data:
+        for index, rec in enumerate(data):
+            missing = [name for name in required
+                       if not isinstance(rec, dict) or name not in rec]
+            if missing:
+                raise ConfigError(
+                    f"{path}: record {index} lacks TLS fit fields {missing}")
             # fit-tls writes a non-finite reduced_chi2 as null
             fits.append(tlsfit.TlsFit(**{
                 name: math.nan if rec[name] is None else rec[name]

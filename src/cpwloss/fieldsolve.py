@@ -6,6 +6,11 @@ the outer domain box at 0 V. The lateral mirror symmetry is exploited by
 default: only x >= 0 is meshed and the symmetry plane carries a natural
 zero-flux condition.
 
+Dirichlet nodes (electrodes and the outer box) are eliminated: only the free
+nodes are unknowns, and couplings to Dirichlet neighbours move into the
+right-hand side. The reduced matrix is exactly symmetric, so SuperLU factors
+it with a symmetric fill-reducing ordering, minimum degree on A^T + A.
+
 Thin interface oxides are never meshed (nm layers in a mm domain); they are
 handled by boundary post-processing in the participation module, which
 consumes the host-side boundary fields sampled here.
@@ -177,6 +182,8 @@ class FieldSolution:
     total_energy: float = 0.0
     voltage: float = 1.0
     residual: float = 0.0
+    unknowns: int = 0  # free nodes: the size of the reduced system
+    factor_nnz: int = 0  # nonzeros SuperLU stores for the L and U factors
 
     @property
     def capacitance_per_length(self) -> float:
@@ -214,40 +221,58 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0,
     g_n = (epad[ii, jj + 1] * hw_f / 2 + epad[ii + 1, jj + 1] * he_f / 2) / hn
     g_s = (epad[ii, jj] * hw_f / 2 + epad[ii + 1, jj] * he_f / 2) / hs
 
-    idx = (ii * ny + jj)
-    diag = g_e + g_w + g_n + g_s
-    free = ~mesh.dirichlet
+    dirichlet = mesh.dirichlet.ravel()
+    if not dirichlet.any():
+        raise SolveError("mesh has no Dirichlet node: the potential is undetermined")
+    free = ~dirichlet
+    n_free = int(np.count_nonzero(free))
+    # unknown number of each free node; -1 marks a Dirichlet node
+    num = np.full(n, -1)
+    num[free] = np.arange(n_free)
+    phi = voltage * np.where(dirichlet, mesh.dirichlet_value.ravel(), 0.0)
 
-    rows, cols, vals = [], [], []
-    for g, di, dj in ((g_e, 1, 0), (g_w, -1, 0), (g_n, 0, 1), (g_s, 0, -1)):
-        mask = free & (g > 0)
-        rows.append(idx[mask])
-        cols.append((idx + di * ny + dj)[mask])
-        vals.append(-g[mask])
-    rows.append(idx[free])
-    cols.append(idx[free])
-    vals.append(diag[free])
-    # Dirichlet rows: identity
-    rows.append(idx[mesh.dirichlet])
-    cols.append(idx[mesh.dirichlet])
-    vals.append(np.ones(np.count_nonzero(mesh.dirichlet)))
+    # only free rows are assembled: a coupling g to a free neighbour is a
+    # matrix entry, one to a Dirichlet neighbour moves g * V_d into the rhs
+    rows, cols = [np.arange(n_free)], [np.arange(n_free)]
+    vals = [(g_e + g_w + g_n + g_s).ravel()[free]]
+    rhs_rows, rhs_vals = [], []
+    for g, shift in ((g_e, ny), (g_w, -ny), (g_n, 1), (g_s, -1)):
+        g = g.ravel()
+        src = np.flatnonzero(free & (g > 0))
+        nb = src + shift
+        coupled = free[nb]
+        rows.append(num[src[coupled]])
+        cols.append(num[nb[coupled]])
+        vals.append(-g[src[coupled]])
+        rhs_rows.append(num[src[~coupled]])
+        rhs_vals.append(g[src[~coupled]] * phi[nb[~coupled]])
 
-    A = sp.csr_matrix(
+    A = sp.csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+        shape=(n_free, n_free),
     )
-    b = np.zeros(n)
-    b[idx[mesh.dirichlet]] = voltage * mesh.dirichlet_value[mesh.dirichlet]
+    b = np.bincount(np.concatenate(rhs_rows), weights=np.concatenate(rhs_vals),
+                    minlength=n_free)
 
-    phi_flat = spla.spsolve(A, b)
-    if not np.all(np.isfinite(phi_flat)):
+    # A is exactly symmetric, so a symmetric fill-reducing ordering applies
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolveError(
+            f"factorization of the reduced system ({n_free} unknowns) failed: {exc}"
+        ) from exc
+    phi_free = lu.solve(b)
+    if not np.all(np.isfinite(phi_free)):
         raise SolveError("linear solve produced non-finite potential")
-    res = np.linalg.norm(A @ phi_flat - b) / max(np.linalg.norm(b), 1e-300)
+    # the full system's Dirichlet rows have zero residual, so this equals its
+    # residual relative to the Dirichlet data
+    res = np.linalg.norm(A @ phi_free - b) / max(np.linalg.norm(phi[dirichlet]), 1e-300)
     if res > rtol:
         raise SolveError(
             f"linear solve did not converge: relative residual {res:.3e} > {rtol:.1e}"
         )
-    phi = phi_flat.reshape(nx, ny)
+    phi[free] = phi_free
+    phi = phi.reshape(nx, ny)
 
     dx = hx[:, None]
     dy = hy[None, :]
@@ -264,6 +289,7 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0,
         mesh=mesh, phi=phi, ex=ex, ey=ey,
         region_energy=region_energy, total_energy=e_sub + e_air,
         voltage=voltage, residual=res,
+        unknowns=n_free, factor_nnz=int(lu.nnz),
     )
 
 

@@ -52,8 +52,11 @@ def test_simulate_preset(tmp_path, capsys):
     record = load(out)
     assert set(record) == {
         "tool_version", "provenance", "refinement_level", "config",
-        "mesh_cells", "capacitance_per_length_f_per_m", "budget",
+        "mesh_cells", "solver", "capacitance_per_length_f_per_m", "budget",
         "shares_percent"}
+    assert set(record["solver"]) == {"unknowns", "factor_nnz", "residual"}
+    assert 0 < record["solver"]["unknowns"] < record["solver"]["factor_nnz"]
+    assert record["solver"]["residual"] <= 1e-8
     assert set(record["config"]) == {
         "trace_width", "gap", "metal_thickness", "substrate_thickness",
         "trench_depth", "layer_MA_top", "layer_MA_side", "layer_SA",
@@ -217,6 +220,16 @@ def test_stats_pipeline(tmp_path, capsys):
                             "whisker_high", "outliers"}
     header = csv_out.read_text().splitlines()[0]
     assert header.startswith("chip,quantity,q1,mean,q3")
+
+
+def test_stats_record_missing_fields_is_input_error(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps([{"f_tan_delta0": 1e-6, "b": 0.4,
+                                "delta_other": 5e-8}]))
+    assert run(["stats", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "bad.json" in err and "record 0" in err and "n_c" in err
 
 
 def test_reproduce_tables(tmp_path, capsys):

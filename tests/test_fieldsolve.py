@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import epsilon_0
 
-from cpwloss import RegionId, build_mesh, build_stack, solve_potential
-from cpwloss.errors import MeshError
+from cpwloss import (
+    RegionId, build_mesh, build_stack, simulate_budget, solve_potential,
+)
+from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
     CELL_AIR, CELL_METAL, Mesh, boundary_fields, cpw_capacitance_conformal,
     dump_fields_csv,
@@ -103,6 +106,69 @@ def test_energy_positivity(ref_solution_l2):
 
 def test_residual_below_tolerance(ref_solution_l2):
     assert ref_solution_l2.residual < 1e-8
+
+
+def test_solver_stats(ref_solution_l2):
+    mesh = ref_solution_l2.mesh
+    assert ref_solution_l2.unknowns == mesh.dirichlet.size - np.count_nonzero(
+        mesh.dirichlet)
+    # the factors hold at least the diagonal and one coupling per unknown
+    assert ref_solution_l2.factor_nnz > 2 * ref_solution_l2.unknowns
+
+
+def test_solver_matches_frozen_l2_budget(ref_solution_l2, ref_stack):
+    # level-2 budget of the 400C reference preset, frozen (repr) from the
+    # full-system solve that eliminated no Dirichlet node
+    frozen = {
+        "substrate": 0.9191985745691525,
+        "air": 0.0808014254308474,
+        "metal_air": 1.4082633830673248e-05,
+        "substrate_air": 0.0003567715904660964,
+    }
+    budget = simulate_budget(ref_stack, solution=ref_solution_l2)
+    for region, value in frozen.items():
+        assert budget.entry(region).participation == pytest.approx(value, rel=1e-9)
+    assert budget.total == pytest.approx(8.668338567930862e-07, rel=1e-9)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    width_um=st.floats(2.0, 20.0),
+    gap_um=st.floats(1.0, 10.0),
+    trench_um=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    eps_sub=st.floats(1.5, 12.0),
+    voltage=st.floats(0.01, 100.0),
+)
+def test_solution_invariants_random_cross_sections(width_um, gap_um, trench_um,
+                                                   eps_sub, voltage):
+    stack = build_stack({
+        "trace_width": width_um * 1e-6, "gap": gap_um * 1e-6,
+        "trench_depth": trench_um * 1e-6,
+        "materials": {"substrate": {"relative_permittivity": eps_sub}},
+    })
+    mesh = build_mesh(stack, 1)
+    unit = solve_potential(mesh)
+    scaled = solve_potential(mesh, voltage=voltage)
+    # discrete maximum principle: the potential stays within the electrode range
+    assert unit.phi.min() >= 0.0 and unit.phi.max() <= 1.0
+    assert scaled.phi.min() >= 0.0 and scaled.phi.max() <= voltage
+    np.testing.assert_allclose(scaled.phi, voltage * unit.phi,
+                               rtol=0, atol=1e-12 * voltage)
+    assert unit.residual <= 1e-10 and scaled.residual <= 1e-10
+
+
+def test_singular_factorization_raises_solve_error(ref_stack):
+    mesh = build_mesh(ref_stack, 1)
+    mesh.eps[5, 5] = np.nan
+    with pytest.raises(SolveError, match="factorization.*unknowns"):
+        solve_potential(mesh)
+
+
+def test_mesh_without_dirichlet_node_raises_solve_error():
+    mesh = _parallel_plate_mesh()
+    mesh.dirichlet[:] = False
+    with pytest.raises(SolveError, match="no Dirichlet node"):
+        solve_potential(mesh)
 
 
 def test_half_vs_full_domain_symmetry(ref_stack):
