@@ -42,6 +42,24 @@ def _json_dump(obj, path_or_none):
         sys.stdout.write(text)
 
 
+def _read_records(path, unwrap=None):
+    """Records of a JSON input file: a list, or a single record. `unwrap`
+    names the key that holds the list when the file is one object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if unwrap and isinstance(data, dict):
+        data = data.get(unwrap, [])
+    return data if isinstance(data, list) else [data]
+
+
+def _number(value):
+    """A JSON number as float; null (how non-finite floats are written) is NaN."""
+    return math.nan if value is None else float(value)
+
+
 def _budget_record(budget):
     record = asdict(budget)
     record["entries"] = [dict(asdict(e), contribution=e.contribution)
@@ -93,12 +111,15 @@ def cmd_simulate(args):
 
 def cmd_budget(args):
     if args.input:
-        with open(args.input) as fh:
-            entries = json.load(fh)
-        if isinstance(entries, dict):
-            entries = entries.get("entries", [])
-        participations = {e["region"]: float(e["participation"]) for e in entries}
-        tangents = {e["region"]: float(e["loss_tangent"]) for e in entries}
+        participations, tangents = {}, {}
+        for index, e in enumerate(_read_records(args.input, unwrap="entries")):
+            try:
+                participations[e["region"]] = float(e["participation"])
+                tangents[e["region"]] = float(e["loss_tangent"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{args.input}: record {index} needs region, participation "
+                    f"and loss_tangent: {exc!r}") from None
     elif args.entry:
         participations, tangents = {}, {}
         for spec in args.entry:
@@ -153,31 +174,30 @@ def cmd_fit_tls(args):
 
 
 def cmd_stats(args):
-    tls_fields = [f.name for f in fields(tlsfit.TlsFit)]
+    tls_fields = {f.name: f.type == "float" for f in fields(tlsfit.TlsFit)}
     required = [f.name for f in fields(tlsfit.TlsFit)
                 if f.default is MISSING and f.default_factory is MISSING]
     fits = []
     q_lows, q_highs = [], []
     for path in sorted(args.records):
-        with open(path) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict):
-            data = [data]
-        for index, rec in enumerate(data):
+        for index, rec in enumerate(_read_records(path)):
             missing = [name for name in required
                        if not isinstance(rec, dict) or name not in rec]
             if missing:
                 raise ConfigError(
                     f"{path}: record {index} lacks TLS fit fields {missing}")
-            # fit-tls writes a non-finite reduced_chi2 as null
-            fits.append(tlsfit.TlsFit(**{
-                name: math.nan if rec[name] is None else rec[name]
-                for name in tls_fields if name in rec
-            }))
-            if "q_i_low" in rec:
-                q_lows.append(rec["q_i_low"])
-            if "q_i_high" in rec:
-                q_highs.append(rec["q_i_high"])
+            try:
+                fits.append(tlsfit.TlsFit(**{
+                    name: _number(rec[name]) if is_float else rec[name]
+                    for name, is_float in tls_fields.items() if name in rec
+                }))
+                if "q_i_low" in rec:
+                    q_lows.append(_number(rec["q_i_low"]))
+                if "q_i_high" in rec:
+                    q_highs.append(_number(rec["q_i_high"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{path}: record {index} has a non-numeric value: {exc}") from None
     summary = stats_mod.summarize_chip(
         args.chip, fits, q_lows=q_lows, q_highs=q_highs,
         sample_holder=args.sample_holder,

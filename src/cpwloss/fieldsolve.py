@@ -6,14 +6,17 @@ the outer domain box at 0 V. The lateral mirror symmetry is exploited by
 default: only x >= 0 is meshed and the symmetry plane carries a natural
 zero-flux condition.
 
-Dirichlet nodes (electrodes and the outer box) are eliminated: only the free
-nodes are unknowns, and couplings to Dirichlet neighbours move into the
-right-hand side. The reduced matrix is exactly symmetric, so SuperLU factors
-it with a symmetric fill-reducing ordering, minimum degree on A^T + A.
+The matrix is assembled from edge conductances: each grid edge couples its
+two end nodes with eps times the half faces of the adjacent cells over the
+edge length. Dirichlet nodes (electrodes and the outer box) are eliminated:
+only the free nodes are unknowns, and couplings to Dirichlet neighbours move
+into the right-hand side. Each free-free edge enters the reduced matrix at
+(a, b) and (b, a), so it is symmetric by construction, and SuperLU factors it
+with a symmetric fill-reducing ordering, minimum degree on A^T + A.
 
 Thin interface oxides are never meshed (nm layers in a mm domain); they are
 handled by boundary post-processing in the participation module, which
-consumes the host-side boundary fields sampled here.
+consumes the air-side boundary fields sampled here.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .geometry import CpwStack, RegionId
 CELL_AIR = 0
 CELL_SUBSTRATE = 1
 CELL_METAL = 2
+
+RESIDUAL_RTOL = 1e-8  # largest accepted relative residual of the linear solve
 
 
 def _graded_segment(a, b, ha, hb, ratio, hmax):
@@ -191,68 +196,50 @@ class FieldSolution:
         return 2.0 * self.total_energy / self.voltage**2
 
 
-def solve_potential(mesh: Mesh, voltage: float = 1.0,
-                    rtol: float = 1e-8) -> FieldSolution:
+def _assemble(eps, hx, hy, free, phi):
+    """Reduced matrix A_ff and right-hand side b_f from edge conductances.
+
+    Each grid edge couples its end nodes with conductance g: eps times the
+    half faces of the cells on either side, over the edge length. Cells
+    outside the domain have zero permittivity (zero flux at the border).
+    `free` and `phi` are flat over the nodes; phi is zero on free nodes.
+    """
+    nx, ny = len(hx) + 1, len(hy) + 1
+    ep, hxp, hyp = np.pad(eps, 1), np.pad(hx, 1)[:, None], np.pad(hy, 1)
+    gx = (ep[1:-1, :-1] * hyp[:-1] + ep[1:-1, 1:] * hyp[1:]) / (2 * hx[:, None])
+    gy = (ep[:-1, 1:-1] * hxp[:-1] + ep[1:, 1:-1] * hxp[1:]) / (2 * hy)
+    node = np.arange(nx * ny).reshape(nx, ny)
+    a = np.concatenate((node[:-1].ravel(), node[:, :-1].ravel()))
+    b = np.concatenate((node[1:].ravel(), node[:, 1:].ravel()))
+    g = np.concatenate((gx.ravel(), gy.ravel()))
+
+    ends = np.concatenate((a, b))
+    diag = np.bincount(ends, np.concatenate((g, g)), nx * ny)[free]
+    # only free-Dirichlet edges carry a nonzero g * V_d into the rhs
+    rhs = np.bincount(ends, np.concatenate((g * phi[b], g * phi[a])), nx * ny)[free]
+    # a free-free edge adds -g at (a, b) and (b, a): symmetric by construction
+    num = np.cumsum(free) - 1  # unknown number of each free node
+    both = free[a] & free[b]
+    fa, fb, gf = num[a[both]], num[b[both]], -g[both]
+    idx = np.arange(len(diag))
+    A = sp.csc_matrix(
+        (np.concatenate((diag, gf, gf)),
+         (np.concatenate((idx, fa, fb)), np.concatenate((idx, fb, fa)))),
+        shape=(len(diag), len(diag)),
+    )
+    return A, rhs
+
+
+def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     """Solve the variable-permittivity Laplace problem on the mesh."""
-    x, y = mesh.x, mesh.y
-    nx, ny = len(x), len(y)
-    n = nx * ny
-
-    # cell permittivities padded with zeros outside the domain so that
-    # missing neighbors contribute zero flux (natural Neumann boundaries)
-    epad = np.zeros((nx + 1, ny + 1))
-    epad[1:nx, 1:ny] = mesh.eps
-
-    hx = np.diff(x)
-    hy = np.diff(y)
-    hw = np.concatenate(([np.inf], hx))[:, None]  # west spacing per node
-    he = np.concatenate((hx, [np.inf]))[:, None]
-    hs = np.concatenate(([np.inf], hy))[None, :]
-    hn = np.concatenate((hy, [np.inf]))[None, :]
-    hs_f = np.where(np.isinf(hs), 0.0, hs)
-    hn_f = np.where(np.isinf(hn), 0.0, hn)
-    hw_f = np.where(np.isinf(hw), 0.0, hw)
-    he_f = np.where(np.isinf(he), 0.0, he)
-
-    ii = np.arange(nx)[:, None]
-    jj = np.arange(ny)[None, :]
-    g_e = (epad[ii + 1, jj] * hs_f / 2 + epad[ii + 1, jj + 1] * hn_f / 2) / he
-    g_w = (epad[ii, jj] * hs_f / 2 + epad[ii, jj + 1] * hn_f / 2) / hw
-    g_n = (epad[ii, jj + 1] * hw_f / 2 + epad[ii + 1, jj + 1] * he_f / 2) / hn
-    g_s = (epad[ii, jj] * hw_f / 2 + epad[ii + 1, jj] * he_f / 2) / hs
-
     dirichlet = mesh.dirichlet.ravel()
     if not dirichlet.any():
         raise SolveError("mesh has no Dirichlet node: the potential is undetermined")
     free = ~dirichlet
-    n_free = int(np.count_nonzero(free))
-    # unknown number of each free node; -1 marks a Dirichlet node
-    num = np.full(n, -1)
-    num[free] = np.arange(n_free)
     phi = voltage * np.where(dirichlet, mesh.dirichlet_value.ravel(), 0.0)
-
-    # only free rows are assembled: a coupling g to a free neighbour is a
-    # matrix entry, one to a Dirichlet neighbour moves g * V_d into the rhs
-    rows, cols = [np.arange(n_free)], [np.arange(n_free)]
-    vals = [(g_e + g_w + g_n + g_s).ravel()[free]]
-    rhs_rows, rhs_vals = [], []
-    for g, shift in ((g_e, ny), (g_w, -ny), (g_n, 1), (g_s, -1)):
-        g = g.ravel()
-        src = np.flatnonzero(free & (g > 0))
-        nb = src + shift
-        coupled = free[nb]
-        rows.append(num[src[coupled]])
-        cols.append(num[nb[coupled]])
-        vals.append(-g[src[coupled]])
-        rhs_rows.append(num[src[~coupled]])
-        rhs_vals.append(g[src[~coupled]] * phi[nb[~coupled]])
-
-    A = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_free, n_free),
-    )
-    b = np.bincount(np.concatenate(rhs_rows), weights=np.concatenate(rhs_vals),
-                    minlength=n_free)
+    hx, hy = np.diff(mesh.x), np.diff(mesh.y)
+    A, b = _assemble(mesh.eps, hx, hy, free, phi)
+    n_free = A.shape[0]
 
     # A is exactly symmetric, so a symmetric fill-reducing ordering applies
     try:
@@ -267,12 +254,11 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0,
     # the full system's Dirichlet rows have zero residual, so this equals its
     # residual relative to the Dirichlet data
     res = np.linalg.norm(A @ phi_free - b) / max(np.linalg.norm(phi[dirichlet]), 1e-300)
-    if res > rtol:
-        raise SolveError(
-            f"linear solve did not converge: relative residual {res:.3e} > {rtol:.1e}"
-        )
+    if res > RESIDUAL_RTOL:
+        raise SolveError(f"linear solve did not converge: relative residual "
+                         f"{res:.3e} > {RESIDUAL_RTOL:.1e}")
     phi[free] = phi_free
-    phi = phi.reshape(nx, ny)
+    phi = phi.reshape(mesh.dirichlet.shape)
 
     dx = hx[:, None]
     dy = hy[None, :]
@@ -295,15 +281,14 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0,
 
 @dataclass
 class BoundarySamples:
-    """Host-side field samples along an interface contour (half domain)."""
+    """Air-side field samples along an interface contour (half domain)."""
 
     region: RegionId
     x: np.ndarray
     y: np.ndarray
     dl: np.ndarray  # arc-length weight per sample
     e_par: np.ndarray  # tangential field, V/m
-    e_norm: np.ndarray  # normal field on the host side, V/m
-    host: str = "air"  # every contour is sampled on its air side
+    e_norm: np.ndarray  # normal field on the air side, V/m
 
 
 def _one_sided(phi0, phi1, phi2, h1, h2):
@@ -332,10 +317,10 @@ def _trap_weights(coords, i0, i1):
 
 
 def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySamples:
-    """Sample (E_par, E_norm) on the host side along an interface contour.
+    """Sample (E_par, E_norm) on the air side of an interface contour.
 
-    The host side is air for every contour. Samples cover the half domain
-    (x >= 0); integrals must be scaled by mesh.symmetry_factor.
+    Samples cover the half domain (x >= 0); integrals must be scaled by
+    mesh.symmetry_factor.
     """
     mesh = solution.mesh
     stack = mesh.stack

@@ -3,14 +3,13 @@
 Bulk participations are energy fractions from the field solution. Thin
 interface oxides are handled perturbatively: the layer stores energy
 
-    u(l) = (eps0 * t / 2) * (eps_layer * |E_par|^2
-                             + |E_norm|^2 * eps_host^2 / eps_layer)
+    u(l) = (eps0 * t / 2) * (eps_layer * |E_par|^2 + |E_norm|^2 / eps_layer)
 
-per unit contour length, with the fields sampled on the host side (air for
-the metal-air and substrate-air contours). E_par is continuous across the
-layer; E_norm inside the layer follows from normal-D continuity, which is
-where the eps_host^2 / eps_layer factor comes from. On metal contours
-E_par = 0 by construction.
+per unit contour length, with the fields sampled on the air side of the
+metal-air and substrate-air contours. E_par is continuous across the layer;
+E_norm inside the layer follows from normal-D continuity with air, which is
+where the 1 / eps_layer factor comes from. On metal contours E_par = 0 by
+construction.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ def _convex_corners(stack: CpwStack):
 
 def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
                              thickness: float, eps_layer: float,
-                             eps_host: float = 1.0,
                              corner_cutoff: float | None = None) -> float:
     """Participation of an unmeshed thin layer along an interface contour.
 
@@ -109,16 +107,15 @@ def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
         corner_cutoff = thickness / 4.0
     bs = boundary_fields(solution, layer_region)
     frac = np.ones(len(bs.dl))
-    stack = solution.mesh.stack
-    if stack is not None and corner_cutoff > 0:
-        for cx, cy in _convex_corners(stack):
+    if corner_cutoff > 0:
+        for cx, cy in _convex_corners(solution.mesh.stack):
             d = np.hypot(bs.x - cx, bs.y - cy)
             # fraction of each sample interval outside the cutoff zone
             frac = np.minimum(
                 frac, np.clip((d - corner_cutoff) / bs.dl + 0.5, 0.0, 1.0)
             )
     u = 0.5 * epsilon_0 * thickness * (
-        eps_layer * bs.e_par**2 + bs.e_norm**2 * eps_host**2 / eps_layer
+        eps_layer * bs.e_par**2 + bs.e_norm**2 / eps_layer
     )
     energy = solution.mesh.symmetry_factor * float(np.sum(u * frac * bs.dl))
     return energy / solution.total_energy

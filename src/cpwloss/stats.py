@@ -19,10 +19,11 @@ class WeightedMean:
 def weighted_mean(values) -> WeightedMean:
     """Inverse-variance weighted mean of (x, sigma) pairs.
 
-    Falls back to the unweighted mean when any sigma is non-positive. Both
-    the standard error (sqrt(1/sum w)) and the weighted sample spread are
-    reported; chip summaries display the spread, which is what the per-chip
-    +/- values resemble.
+    Falls back to the unweighted mean when any sigma is not finite and
+    positive (zero, negative, NaN or infinite). Both the standard error
+    (sqrt(1/sum w)) and the weighted sample spread are reported; chip
+    summaries display the spread, which is what the per-chip +/- values
+    resemble.
     """
     values = list(values)
     if not values:
@@ -30,7 +31,7 @@ def weighted_mean(values) -> WeightedMean:
     x = np.array([v[0] for v in values], dtype=float)
     s = np.array([v[1] for v in values], dtype=float)
     n = len(x)
-    if np.any(s <= 0):
+    if not np.all(np.isfinite(s) & (s > 0)):
         mean = float(x.mean())
         spread = float(x.std(ddof=1)) if n > 1 else 0.0
         unc = spread / np.sqrt(n) if n > 1 else 0.0
@@ -126,10 +127,7 @@ def summarize_chip(chip: str, fits, q_lows=None, q_highs=None,
     fits = list(fits)
     if not fits:
         raise ConfigError("summarize_chip: no fits given")
-    if all(f.f_tan_delta0_err > 0 for f in fits):
-        wm = weighted_mean([(f.f_tan_delta0, f.f_tan_delta0_err) for f in fits])
-    else:
-        wm = weighted_mean([(f.f_tan_delta0, -1.0) for f in fits])
+    wm = weighted_mean([(f.f_tan_delta0, f.f_tan_delta0_err) for f in fits])
     boxplots = {"f_tan_delta0": boxplot_stats([f.f_tan_delta0 for f in fits])}
     for name, vals in (("q_i_low", q_lows), ("q_i_high", q_highs)):
         if vals:

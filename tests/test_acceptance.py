@@ -160,7 +160,7 @@ def test_criterion_4_analytic_field_oracles():
 
     from test_fieldsolve import _parallel_plate_mesh
 
-    mesh = _parallel_plate_mesh(d=1e-6)
+    mesh = _parallel_plate_mesh()
     flat = solve_potential(mesh)
     lin_dev = float(np.max(np.abs(flat.phi - (1.0 - mesh.y / 1e-6)[None, :])))
     ok = c_dev < 0.02 and lin_dev < 1e-3

@@ -232,6 +232,33 @@ def test_stats_record_missing_fields_is_input_error(tmp_path, capsys):
     assert "bad.json" in err and "record 0" in err and "n_c" in err
 
 
+GOOD_ENTRY = {"region": "air", "participation": 0.1, "loss_tangent": 0.0}
+GOOD_FIT = {"f_tan_delta0": 1e-6, "n_c": 10.0, "b": 0.4, "delta_other": 5e-8}
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    ("budget", json.dumps([{"region": "substrate"}]), "record 0"),
+    ("budget", "{not json", "not valid JSON"),
+    ("budget", json.dumps("hello"), "record 0"),
+    ("budget", json.dumps([GOOD_ENTRY, dict(GOOD_ENTRY, participation="abc")]),
+     "record 1"),
+    ("stats", "{not json", "not valid JSON"),
+    ("stats", json.dumps([GOOD_FIT, dict(GOOD_FIT, f_tan_delta0="x")]),
+     "record 1"),
+], ids=["budget-missing-key", "budget-not-json", "budget-not-object",
+        "budget-non-numeric", "stats-not-json", "stats-non-numeric"])
+def test_malformed_json_input_is_input_error(tmp_path, capsys, command, text,
+                                             expected):
+    src = tmp_path / "bad.json"
+    src.write_text(text)
+    argv = ["budget", "--input", str(src)] if command == "budget" \
+        else ["stats", str(src)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "bad.json" in err and expected in err
+
+
 def test_reproduce_tables(tmp_path, capsys):
     out = tmp_path / "tables.json"
     assert run(["reproduce-tables", "--refinement", "1",

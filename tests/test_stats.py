@@ -58,6 +58,14 @@ def test_weighted_mean_fallback_unweighted():
     assert wm.mean == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("bad_sigma", [np.nan, np.inf])
+def test_weighted_mean_non_finite_sigma_falls_back_unweighted(bad_sigma):
+    wm = weighted_mean([(1.0, bad_sigma), (2.0, 1.0)])
+    assert wm.mean == 1.5
+    assert wm.spread == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    assert wm.uncertainty == pytest.approx(0.5, rel=1e-15)
+
+
 def test_weighted_mean_empty():
     with pytest.raises(ConfigError):
         weighted_mean([])
