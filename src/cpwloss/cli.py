@@ -133,7 +133,10 @@ def cmd_budget(args):
                 ) from None
     else:
         raise ConfigError("budget requires --input or --entry")
-    budget = participation.loss_budget(participations, tangents)
+    try:
+        budget = participation.loss_budget(participations, tangents)
+    except ConfigError as exc:  # only an --input file can hold no entries
+        raise ConfigError(f"{args.input}: {exc}") from None
     print(participation.format_budget_table(budget))
     if args.output:
         _json_dump(_budget_record(budget), args.output)
@@ -198,11 +201,14 @@ def cmd_stats(args):
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"{path}: record {index} has a non-numeric value: {exc}") from None
-    summary = stats_mod.summarize_chip(
-        args.chip, fits, q_lows=q_lows, q_highs=q_highs,
-        sample_holder=args.sample_holder,
-        simulated_total=args.simulated_total,
-    )
+    try:
+        summary = stats_mod.summarize_chip(
+            args.chip, fits, q_lows=q_lows, q_highs=q_highs,
+            sample_holder=args.sample_holder,
+            simulated_total=args.simulated_total,
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{', '.join(args.records)}: {exc}") from None
     wm = summary.f_tan_delta0
     record = asdict(summary)
     record["weighted_mean_f_tan_delta0"] = dict(

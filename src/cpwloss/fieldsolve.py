@@ -4,7 +4,9 @@ Finite-volume discretization of div(eps * grad(phi)) = 0 on a graded
 rectilinear tensor grid. The center trace is held at 1 V, ground planes and
 the outer domain box at 0 V. The lateral mirror symmetry is exploited by
 default: only x >= 0 is meshed and the symmetry plane carries a natural
-zero-flux condition.
+zero-flux condition. Every conductor edge and face is a grid line; the mesh
+records their node indices, and cells, electrodes and contours are set by
+index, never by comparing coordinates.
 
 The matrix is assembled from edge conductances: each grid edge couples its
 two end nodes with eps times the half faces of the adjacent cells over the
@@ -16,7 +18,8 @@ with a symmetric fill-reducing ordering, minimum degree on A^T + A.
 
 Thin interface oxides are never meshed (nm layers in a mm domain); they are
 handled by boundary post-processing in the participation module, which
-consumes the air-side boundary fields sampled here.
+consumes the air-side boundary fields sampled here. Contours are sampled on
+x >= 0 in either domain mode and their integrals scaled by 2.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ def _graded_segment(a, b, ha, hb, ratio, hmax):
 
 
 def _graded_axis(breakpoints, end_sizes, ratio, hmax):
-    """Concatenate graded segments between successive breakpoints."""
+    """Nodes of graded segments between successive breakpoints, and the node
+    index of each breakpoint (whose node equals it exactly)."""
     pts = [np.array([breakpoints[0]])]
     for k in range(len(breakpoints) - 1):
         seg = _graded_segment(
@@ -75,7 +79,8 @@ def _graded_axis(breakpoints, end_sizes, ratio, hmax):
             ratio, hmax,
         )
         pts.append(seg[1:])
-    return np.concatenate(pts)
+    index = np.cumsum([len(p) for p in pts]) - 1
+    return np.concatenate(pts), [int(i) for i in index]
 
 
 @dataclass
@@ -88,7 +93,9 @@ class Mesh:
     region: np.ndarray  # cell region code, shape (nx-1, ny-1)
     dirichlet: np.ndarray  # node mask, shape (nx, ny)
     dirichlet_value: np.ndarray  # node values where dirichlet is True
-    stack: CpwStack | None = None
+    # node indices of the conductor grid lines on x >= 0: "axis", "trace_edge",
+    # "ground_edge" in x; "surface", "metal_top", "trench_floor" (if any) in y
+    lines: dict = field(default_factory=dict)
     symmetry_factor: float = 1.0
 
     @property
@@ -116,61 +123,49 @@ def build_mesh(stack: CpwStack, refinement_level: int = 1,
     hmax = xmax / 16.0
     hmid = stack.trace_width / 16.0
 
-    xpts = _graded_axis([0.0, w2, xg, xmax], [hmid, fine, fine, hmax], ratio, hmax)
-    ybreaks = [ymin, 0.0, tm, ymax]
-    ysizes = [hmax, fine, fine, hmax]
+    x, (i0, iw, ig, _) = _graded_axis([0.0, w2, xg, xmax],
+                                      [hmid, fine, fine, hmax], ratio, hmax)
+    ybreaks = [ymin, -td, 0.0, tm, ymax] if td > 0 else [ymin, 0.0, tm, ymax]
+    ysizes = [hmax] + [fine] * (len(ybreaks) - 2) + [hmax]
+    y, jb = _graded_axis(ybreaks, ysizes, ratio, hmax)
+    j0, jt = jb[-3], jb[-2]
+    lines = {"axis": i0, "trace_edge": iw, "ground_edge": ig,
+             "surface": j0, "metal_top": jt}
+
+    region = np.full((len(x) - 1, len(y) - 1), CELL_AIR, dtype=np.int8)
+    region[:, :j0] = CELL_SUBSTRATE
     if td > 0:
-        ybreaks = [ymin, -td, 0.0, tm, ymax]
-        ysizes = [hmax, fine, fine, fine, hmax]
-    ypts = _graded_axis(ybreaks, ysizes, ratio, hmax)
-
-    if full_domain:
-        xpts = np.concatenate([-xpts[::-1], xpts[1:]])
-
-    nx, ny = len(xpts), len(ypts)
-    xm = 0.5 * (xpts[:-1] + xpts[1:])[:, None]
-    ym = 0.5 * (ypts[:-1] + ypts[1:])[None, :]
-    axm = np.abs(xm)
-
-    in_metal = (ym > 0) & (ym < tm) & ((axm < w2) | (axm > xg))
-    in_trench = (ym < 0) & (ym > -td) & (axm > w2) & (axm < xg) if td > 0 \
-        else np.zeros_like(in_metal)
-    in_substrate = (ym < 0) & ~in_trench
-
-    region = np.full((nx - 1, ny - 1), CELL_AIR, dtype=np.int8)
-    region[in_substrate] = CELL_SUBSTRATE
-    region[in_metal] = CELL_METAL
-
-    eps_sub = stack.materials["substrate"].relative_permittivity
-    eps = np.ones_like(region, dtype=float)
-    eps[in_substrate] = eps_sub
+        lines["trench_floor"] = jb[1]
+        region[iw:ig, jb[1]:j0] = CELL_AIR
+    region[:iw, j0:jt] = CELL_METAL
+    region[ig:, j0:jt] = CELL_METAL
     # metal interior is excluded from the solve via Dirichlet nodes; its cell
     # permittivity is irrelevant but kept at 1
+    eps_sub = stack.materials["substrate"].relative_permittivity
+    eps = np.where(region == CELL_SUBSTRATE, eps_sub, 1.0)
 
-    tol = 1e-15 + 1e-9 * min(tm, stack.gap)
-    xn = xpts[:, None]
-    yn = ypts[None, :]
-    axn = np.abs(xn)
-    on_metal_band = (yn > -tol) & (yn < tm + tol)
-    on_trace = on_metal_band & (axn < w2 + tol)
-    on_ground = on_metal_band & (axn > xg - tol)
-
-    dirichlet = np.zeros((nx, ny), dtype=bool)
-    value = np.zeros((nx, ny))
-    dirichlet[on_trace] = True
-    value[on_trace] = 1.0
-    dirichlet[on_ground] = True
-    # outer box grounded; the x=0 (or x=xmin in full-domain) side is the
-    # symmetry plane only in half-domain mode
-    dirichlet[:, 0] = True
-    dirichlet[:, -1] = True
+    dirichlet = np.zeros((len(x), len(y)), dtype=bool)
+    value = np.zeros((len(x), len(y)))
+    dirichlet[:iw + 1, j0:jt + 1] = True  # trace
+    value[:iw + 1, j0:jt + 1] = 1.0
+    dirichlet[ig:, j0:jt + 1] = True  # ground plane
+    # outer box grounded; x = 0 is the symmetry plane (zero flux)
+    dirichlet[:, [0, -1]] = True
     dirichlet[-1, :] = True
+
     if full_domain:
-        dirichlet[0, :] = True
+        # mirror image about x = 0; the mirrored outer column is grounded too
+        shift = len(x) - 1
+        x = np.concatenate([-x[::-1], x[1:]])
+        region, eps = (np.concatenate([a[::-1], a]) for a in (region, eps))
+        dirichlet, value = (np.concatenate([a[::-1], a[1:]])
+                            for a in (dirichlet, value))
+        for key in ("axis", "trace_edge", "ground_edge"):
+            lines[key] += shift
 
     return Mesh(
-        x=xpts, y=ypts, eps=eps, region=region,
-        dirichlet=dirichlet, dirichlet_value=value, stack=stack,
+        x=x, y=y, eps=eps, region=region,
+        dirichlet=dirichlet, dirichlet_value=value, lines=lines,
         symmetry_factor=1.0 if full_domain else 2.0,
     )
 
@@ -281,7 +276,7 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
 
 @dataclass
 class BoundarySamples:
-    """Air-side field samples along an interface contour (half domain)."""
+    """Air-side field samples along an interface contour (x >= 0)."""
 
     region: RegionId
     x: np.ndarray
@@ -299,13 +294,6 @@ def _one_sided(phi0, phi1, phi2, h1, h2):
     return c0 * phi0 + c1 * phi1 + c2 * phi2
 
 
-def _node_index(coords, value):
-    i = int(np.searchsorted(coords, value - 1e-18))
-    if i >= len(coords) or not np.isclose(coords[i], value, rtol=0, atol=1e-15 + 1e-9 * abs(value)):
-        raise MeshError(f"no grid line at coordinate {value}")
-    return i
-
-
 def _trap_weights(coords, i0, i1):
     """Trapezoid weights for nodes i0..i1 inclusive along `coords`."""
     c = coords[i0 : i1 + 1]
@@ -316,89 +304,61 @@ def _trap_weights(coords, i0, i1):
     return w
 
 
+def _contour(phi, along, across, k, a, b, step, tangential):
+    """Samples on grid line across[k], nodes a..b along `along`.
+
+    phi is indexed [along, across] (pass phi.T for a line of constant x); the
+    air side lies towards k + step. Returns (along coordinates, across
+    coordinates, dl, e_par, e_norm).
+    """
+    s = slice(a, b + 1)
+    h1 = abs(across[k + step] - across[k])
+    h2 = abs(across[k + 2 * step] - across[k + step])
+    e_norm = -step * _one_sided(phi[s, k], phi[s, k + step], phi[s, k + 2 * step],
+                                h1, h2)
+    if tangential:
+        e_par = -(phi[a + 1:b + 2, k] - phi[a - 1:b, k]) \
+            / (along[a + 1:b + 2] - along[a - 1:b])
+    else:  # E_par vanishes on a conductor surface
+        e_par = np.zeros(b - a + 1)
+    return (along[s], np.full(b - a + 1, across[k]), _trap_weights(along, a, b),
+            e_par, e_norm)
+
+
 def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySamples:
     """Sample (E_par, E_norm) on the air side of an interface contour.
 
-    Samples cover the half domain (x >= 0); integrals must be scaled by
-    mesh.symmetry_factor.
+    Samples cover x >= 0 only; the cross section is mirror symmetric, so
+    contour integrals are twice the sampled ones in either domain mode.
     """
-    mesh = solution.mesh
-    stack = mesh.stack
-    if stack is None:
-        raise MeshError("boundary_fields requires a mesh built from a CpwStack")
-    if region not in (RegionId.MetalAirTop, RegionId.MetalAirSide,
-                      RegionId.SubstrateAir):
+    x, y, lines = solution.mesh.x, solution.mesh.y, solution.mesh.lines
+    if not lines:
+        raise MeshError("boundary_fields requires a mesh built by build_mesh")
+    i0, iw, ig = lines["axis"], lines["trace_edge"], lines["ground_edge"]
+    j0, jt, jd = lines["surface"], lines["metal_top"], lines.get("trench_floor")
+    # (vertical, line, first node, last node, step towards the air)
+    if region == RegionId.MetalAirTop:
+        segments = [(False, jt, i0, iw, 1), (False, jt, ig, len(x) - 3, 1)]
+    elif region == RegionId.MetalAirSide:
+        segments = [(True, iw, j0, jt, 1), (True, ig, j0, jt, -1)]
+    elif region == RegionId.SubstrateAir and jd is not None:
+        segments = [(True, iw, jd + 1, j0 - 1, 1), (False, jd, iw + 1, ig - 1, 1),
+                    (True, ig, jd + 1, j0 - 1, -1)]
+    elif region == RegionId.SubstrateAir:
+        segments = [(False, j0, iw + 1, ig - 1, 1)]
+    else:
         raise MeshError(f"{region} is not an interface region")
 
-    x, y, phi = mesh.x, mesh.y, solution.phi
-    w2 = stack.trace_width / 2.0
-    xg = w2 + stack.gap
-    tm = stack.metal_thickness
-    td = stack.trench_depth
-    i0 = _node_index(x, 0.0)
-    iw = _node_index(x, w2)
-    ig = _node_index(x, xg)
-    j0 = _node_index(y, 0.0)
-    jt = _node_index(y, tm)
-
-    xs, ys, dls, epars, enorms = [], [], [], [], []
-
-    def add_horizontal(jrow, ia, ib, e_par_from_phi):
-        """Samples along y = const, nodes ia..ib, normal pointing up."""
-        wts = _trap_weights(x, ia, ib)
-        xs.append(x[ia : ib + 1])
-        ys.append(np.full(ib - ia + 1, y[jrow]))
-        dls.append(wts)
-        h1, h2 = y[jrow + 1] - y[jrow], y[jrow + 2] - y[jrow + 1]
-        enorms.append(-_one_sided(phi[ia:ib + 1, jrow], phi[ia:ib + 1, jrow + 1],
-                                  phi[ia:ib + 1, jrow + 2], h1, h2))
-        if e_par_from_phi:
-            epars.append(-(phi[ia + 1:ib + 2, jrow] - phi[ia - 1:ib, jrow])
-                         / (x[ia + 1:ib + 2] - x[ia - 1:ib]))
-        else:
-            epars.append(np.zeros(ib - ia + 1))
-
-    def add_vertical(icol, ja, jb, right, e_par_from_phi):
-        """Samples along x = const, nodes ja..jb, normal pointing +x or -x."""
-        wts = _trap_weights(y, ja, jb)
-        xs.append(np.full(jb - ja + 1, x[icol]))
-        ys.append(y[ja : jb + 1])
-        dls.append(wts)
-        if right:
-            h1, h2 = x[icol + 1] - x[icol], x[icol + 2] - x[icol + 1]
-            en = -_one_sided(phi[icol, ja:jb + 1], phi[icol + 1, ja:jb + 1],
-                             phi[icol + 2, ja:jb + 1], h1, h2)
-        else:
-            h1, h2 = x[icol] - x[icol - 1], x[icol - 1] - x[icol - 2]
-            en = _one_sided(phi[icol, ja:jb + 1], phi[icol - 1, ja:jb + 1],
-                            phi[icol - 2, ja:jb + 1], h1, h2)
-        enorms.append(en)
-        if e_par_from_phi:
-            epars.append(-(phi[icol, ja + 1:jb + 2] - phi[icol, ja - 1:jb])
-                         / (y[ja + 1:jb + 2] - y[ja - 1:jb]))
-        else:
-            epars.append(np.zeros(jb - ja + 1))
-
-    if region == RegionId.MetalAirTop:
-        add_horizontal(jt, i0, iw, e_par_from_phi=False)  # trace top
-        add_horizontal(jt, ig, len(x) - 3, e_par_from_phi=False)  # ground top
-    elif region == RegionId.MetalAirSide:
-        add_vertical(iw, j0, jt, right=True, e_par_from_phi=False)  # trace sidewall
-        add_vertical(ig, j0, jt, right=False, e_par_from_phi=False)  # ground sidewall
-    else:  # SubstrateAir
-        if td > 0:
-            jd = _node_index(y, -td)
-            add_vertical(iw, jd + 1, j0 - 1, right=True, e_par_from_phi=True)
-            add_horizontal(jd, iw + 1, ig - 1, e_par_from_phi=True)
-            add_vertical(ig, jd + 1, j0 - 1, right=False, e_par_from_phi=True)
-        else:
-            add_horizontal(j0, iw + 1, ig - 1, e_par_from_phi=True)
-
-    return BoundarySamples(
-        region=region,
-        x=np.concatenate(xs), y=np.concatenate(ys), dl=np.concatenate(dls),
-        e_par=np.concatenate(epars), e_norm=np.concatenate(enorms),
-    )
+    tangential = region == RegionId.SubstrateAir
+    phi = solution.phi
+    parts = []
+    for vertical, k, a, b, step in segments:
+        grid = (phi.T, y, x) if vertical else (phi, x, y)
+        along, across, *rest = _contour(*grid, k, a, b, step, tangential)
+        parts.append((across, along, *rest) if vertical else (along, across, *rest))
+    xs, ys, dl, e_par, e_norm = (np.concatenate(c) for c in zip(*parts))
+    return BoundarySamples(region=region, x=xs, y=ys, dl=dl, e_par=e_par,
+                           e_norm=e_norm)
 
 
 def dump_fields_csv(solution: FieldSolution, path):
@@ -422,8 +382,8 @@ def solve_with_meshed_sa_layer(stack: CpwStack, eps_layer: float,
     if thickness <= 0:
         raise MeshError("layer thickness must be > 0 for direct meshing")
     mesh = build_mesh(replace(stack, trench_depth=thickness), refinement_level)
-    ym = 0.5 * (mesh.y[:-1] + mesh.y[1:])
-    in_layer = (mesh.region == CELL_AIR) & (ym < 0)[None, :]
+    in_layer = mesh.region == CELL_AIR
+    in_layer[:, mesh.lines["surface"]:] = False
     mesh.eps[in_layer] = eps_layer
     mesh.region[in_layer] = CELL_SUBSTRATE
     solution = solve_potential(mesh)

@@ -164,11 +164,7 @@ class CpwStack:
             raise ConfigError("air must have zero loss tangent")
 
     def to_config(self) -> dict:
-        cfg = asdict(self)
-        cfg["materials"] = {
-            role: asdict(mat) for role, mat in self.materials.items()
-        }
-        return cfg
+        return asdict(self)  # recurses into the materials dict
 
 
 _LENGTH_KEYS = (

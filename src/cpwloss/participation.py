@@ -73,15 +73,12 @@ def bulk_participation(solution: FieldSolution, region: RegionId) -> float:
     return solution.region_energy[region] / solution.total_energy
 
 
-def _convex_corners(stack: CpwStack):
+def _convex_corners(mesh):
     """Convex metal corners, where the sharp-corner field diverges."""
-    w2 = stack.trace_width / 2.0
-    xg = w2 + stack.gap
-    tm = stack.metal_thickness
-    corners = [(w2, 0.0), (xg, 0.0), (w2, tm), (xg, tm)]
-    if stack.trench_depth > 0:
-        corners += [(w2, -stack.trench_depth), (xg, -stack.trench_depth)]
-    return corners
+    lines = mesh.lines
+    rows = [lines[k] for k in ("surface", "metal_top", "trench_floor") if k in lines]
+    return [(mesh.x[i], mesh.y[j]) for j in rows
+            for i in (lines["trace_edge"], lines["ground_edge"])]
 
 
 def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
@@ -108,7 +105,7 @@ def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
     bs = boundary_fields(solution, layer_region)
     frac = np.ones(len(bs.dl))
     if corner_cutoff > 0:
-        for cx, cy in _convex_corners(solution.mesh.stack):
+        for cx, cy in _convex_corners(solution.mesh):
             d = np.hypot(bs.x - cx, bs.y - cy)
             # fraction of each sample interval outside the cutoff zone
             frac = np.minimum(
@@ -117,7 +114,8 @@ def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
     u = 0.5 * epsilon_0 * thickness * (
         eps_layer * bs.e_par**2 + bs.e_norm**2 / eps_layer
     )
-    energy = solution.mesh.symmetry_factor * float(np.sum(u * frac * bs.dl))
+    # the samples cover x >= 0 of a mirror-symmetric cross section
+    energy = 2.0 * float(np.sum(u * frac * bs.dl))
     return energy / solution.total_energy
 
 
@@ -125,6 +123,8 @@ def loss_budget(participations, loss_tangents, label: str = "",
                 notes=()) -> ParticipationBudget:
     """Assemble a budget from (region -> p_i) and (region -> tan_delta)."""
     participations = dict(participations)
+    if not participations:
+        raise ConfigError("loss budget has no entries")
     loss_tangents = dict(loss_tangents)
     entries = []
     for region, p in participations.items():

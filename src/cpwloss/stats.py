@@ -69,11 +69,13 @@ def boxplot_stats(values) -> BoxplotStats:
     """Quartiles (linear-interpolation convention), mean line, 1.5*IQR whiskers.
 
     Whiskers sit at the most extreme data points within 1.5*IQR of the box;
-    anything beyond is an outlier.
+    anything beyond is an outlier. NaN input is a ConfigError.
     """
     x = np.asarray(list(values), dtype=float)
     if x.size == 0:
         raise ConfigError("boxplot_stats: empty input")
+    if np.isnan(x).any():
+        raise ConfigError(f"boxplot_stats: {np.isnan(x).sum()} NaN value(s)")
     q1, q3 = np.percentile(x, [25, 75])
     iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -128,10 +130,14 @@ def summarize_chip(chip: str, fits, q_lows=None, q_highs=None,
     if not fits:
         raise ConfigError("summarize_chip: no fits given")
     wm = weighted_mean([(f.f_tan_delta0, f.f_tan_delta0_err) for f in fits])
-    boxplots = {"f_tan_delta0": boxplot_stats([f.f_tan_delta0 for f in fits])}
-    for name, vals in (("q_i_low", q_lows), ("q_i_high", q_highs)):
+    boxplots = {}
+    for name, vals in (("f_tan_delta0", [f.f_tan_delta0 for f in fits]),
+                       ("q_i_low", q_lows), ("q_i_high", q_highs)):
         if vals:
-            boxplots[name] = boxplot_stats(vals)
+            try:
+                boxplots[name] = boxplot_stats(vals)
+            except ConfigError as exc:
+                raise ConfigError(f"summarize_chip: {name}: {exc}") from None
     summary = ChipSummary(
         chip=chip, sample_holder=sample_holder, f_tan_delta0=wm,
         boxplots=boxplots, n_resonators=len(fits),

@@ -242,11 +242,17 @@ GOOD_FIT = {"f_tan_delta0": 1e-6, "n_c": 10.0, "b": 0.4, "delta_other": 5e-8}
     ("budget", json.dumps("hello"), "record 0"),
     ("budget", json.dumps([GOOD_ENTRY, dict(GOOD_ENTRY, participation="abc")]),
      "record 1"),
+    ("budget", json.dumps({}), "no entries"),
+    ("budget", json.dumps([]), "no entries"),
     ("stats", "{not json", "not valid JSON"),
     ("stats", json.dumps([GOOD_FIT, dict(GOOD_FIT, f_tan_delta0="x")]),
      "record 1"),
+    # null is how a non-finite Q endpoint is written out
+    ("stats", json.dumps([dict(GOOD_FIT, q_i_high=2e6),
+                          dict(GOOD_FIT, q_i_high=None)]), "q_i_high"),
 ], ids=["budget-missing-key", "budget-not-json", "budget-not-object",
-        "budget-non-numeric", "stats-not-json", "stats-non-numeric"])
+        "budget-non-numeric", "budget-empty-object", "budget-empty-list",
+        "stats-not-json", "stats-non-numeric", "stats-nan-quantity"])
 def test_malformed_json_input_is_input_error(tmp_path, capsys, command, text,
                                              expected):
     src = tmp_path / "bad.json"

@@ -8,8 +8,8 @@ from cpwloss import (
 )
 from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
-    CELL_AIR, CELL_METAL, Mesh, boundary_fields, cpw_capacitance_conformal,
-    dump_fields_csv,
+    CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, boundary_fields,
+    cpw_capacitance_conformal, dump_fields_csv,
 )
 
 
@@ -182,6 +182,68 @@ def test_solution_invariants_random_cross_sections(width_um, gap_um, trench_um,
     assert unit.residual <= 1e-10 and scaled.residual <= 1e-10
 
 
+def _classify_by_coordinates(stack, x, y, full_domain):
+    """Cells by midpoint and electrode nodes within a tolerance band of the
+    conductor lines: the coordinate classification the index masks replace."""
+    w2 = stack.trace_width / 2
+    xg, tm, td = w2 + stack.gap, stack.metal_thickness, stack.trench_depth
+    axm = np.abs(0.5 * (x[:-1] + x[1:]))[:, None]
+    ym = 0.5 * (y[:-1] + y[1:])[None, :]
+    in_metal = (ym > 0) & (ym < tm) & ((axm < w2) | (axm > xg))
+    in_trench = (ym < 0) & (ym > -td) & (axm > w2) & (axm < xg)
+    in_substrate = (ym < 0) & ~in_trench
+    region = np.full(in_metal.shape, CELL_AIR, dtype=np.int8)
+    region[in_substrate] = CELL_SUBSTRATE
+    region[in_metal] = CELL_METAL
+    eps = np.ones(region.shape)
+    eps[in_substrate] = stack.materials["substrate"].relative_permittivity
+
+    tol = 1e-15 + 1e-9 * min(tm, stack.gap)
+    axn, yn = np.abs(x)[:, None], y[None, :]
+    band = (yn > -tol) & (yn < tm + tol)
+    on_trace = band & (axn < w2 + tol)
+    dirichlet = on_trace | (band & (axn > xg - tol))
+    dirichlet[:, [0, -1]] = True
+    dirichlet[[0, -1] if full_domain else [-1], :] = True
+    return region, eps, dirichlet, np.where(on_trace, 1.0, 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width_um=st.floats(2.0, 20.0),
+    gap_um=st.floats(1.0, 10.0),
+    metal_nm=st.floats(20.0, 500.0),
+    trench_um=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    level=st.integers(1, 2),
+    full_domain=st.booleans(),
+)
+def test_index_masks_match_coordinate_classification(width_um, gap_um, metal_nm,
+                                                     trench_um, level, full_domain):
+    stack = build_stack({
+        "trace_width": width_um * 1e-6, "gap": gap_um * 1e-6,
+        "metal_thickness": metal_nm * 1e-9, "trench_depth": trench_um * 1e-6,
+    })
+    mesh = build_mesh(stack, level, full_domain=full_domain)
+    expected = _classify_by_coordinates(stack, mesh.x, mesh.y, full_domain)
+    for name, want in zip(("region", "eps", "dirichlet", "dirichlet_value"),
+                          expected):
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+    lines = mesh.lines
+    w2 = stack.trace_width / 2
+    assert mesh.x[lines["axis"]] == 0.0
+    assert mesh.x[lines["trace_edge"]] == w2
+    assert mesh.x[lines["ground_edge"]] == w2 + stack.gap
+    assert mesh.y[lines["surface"]] == 0.0
+    assert mesh.y[lines["metal_top"]] == stack.metal_thickness
+    if trench_um > 0:
+        assert mesh.y[lines["trench_floor"]] == -stack.trench_depth
+    else:
+        assert "trench_floor" not in lines
+
+
 def test_singular_factorization_raises_solve_error(ref_stack):
     mesh = build_mesh(ref_stack, 1)
     mesh.eps[5, 5] = np.nan
@@ -203,6 +265,12 @@ def test_half_vs_full_domain_symmetry(ref_stack):
     for region in (RegionId.Substrate, RegionId.Air):
         assert full.region_energy[region] == pytest.approx(
             half.region_energy[region], rel=1e-6)
+    # the thin layers too: contours sampled on x >= 0 count both halves
+    half_budget = simulate_budget(ref_stack, solution=half)
+    full_budget = simulate_budget(ref_stack, solution=full)
+    for entry in half_budget.entries:
+        assert full_budget.entry(entry.region).participation == pytest.approx(
+            entry.participation, rel=1e-6)
 
 
 def test_voltage_scaling_squares_energy(ref_stack):
@@ -229,13 +297,12 @@ def test_domain_size_insensitivity(ref_stack):
     assert big.total_energy == pytest.approx(small.total_energy, rel=0.005)
 
 
-def test_metal_interior_is_equipotential(ref_solution_l2):
+def test_metal_interior_is_equipotential(ref_solution_l2, ref_stack):
     mesh = ref_solution_l2.mesh
-    stack = mesh.stack
     xn = mesh.x[:, None]
     yn = mesh.y[None, :]
-    on_trace = (np.abs(xn) <= stack.trace_width / 2) & (yn >= 0) & \
-        (yn <= stack.metal_thickness)
+    on_trace = (np.abs(xn) <= ref_stack.trace_width / 2) & (yn >= 0) & \
+        (yn <= ref_stack.metal_thickness)
     assert np.allclose(ref_solution_l2.phi[on_trace], 1.0)
     assert np.count_nonzero(mesh.region == CELL_METAL) > 0
 
@@ -254,12 +321,11 @@ def test_boundary_fields_substrate_air_positive(ref_solution_l2):
     assert np.isfinite(integral) and integral > 0
 
 
-def test_corner_field_enhancement(ref_solution_l2):
+def test_corner_field_enhancement(ref_solution_l2, ref_stack):
     bs = boundary_fields(ref_solution_l2, RegionId.SubstrateAir)
-    stack = ref_solution_l2.mesh.stack
-    gap_center = stack.trace_width / 2 + stack.gap / 2
+    gap_center = ref_stack.trace_width / 2 + ref_stack.gap / 2
     e2 = bs.e_par**2 + bs.e_norm**2
-    near_corner = e2[np.argmin(np.abs(bs.x - stack.trace_width / 2))]
+    near_corner = e2[np.argmin(np.abs(bs.x - ref_stack.trace_width / 2))]
     mid_gap = e2[np.argmin(np.abs(bs.x - gap_center))]
     assert near_corner > mid_gap
 

@@ -146,6 +146,15 @@ def test_boxplot_empty():
         boxplot_stats([])
 
 
+def test_boxplot_nan_is_input_error():
+    with pytest.raises(ConfigError, match="NaN"):
+        boxplot_stats([1.0, math.nan, 2.0])
+    # summarize_chip names the quantity that holds the NaN
+    with pytest.raises(ConfigError, match="q_i_high.*NaN"):
+        summarize_chip("x", _fake_fits([1e-6, 2e-6]), q_lows=[4e5, 5e5],
+                       q_highs=[2e6, math.nan])
+
+
 def test_compare_table_row_400c():
     c = compare_measured_vs_simulated(1.06e-6, 0.93e-6)
     assert c.ratio == pytest.approx(1.14, abs=0.01)
