@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.constants import epsilon_0
 
 from .errors import MeshError, SolveError
 from .geometry import CpwStack, RegionId
+
+epsilon_0 = 8.8541878188e-12  # F/m, CODATA 2022 (scipy.constants.epsilon_0)
 
 CELL_AIR = 0
 CELL_SUBSTRATE = 1
@@ -199,6 +198,8 @@ def _assemble(eps, hx, hy, free, phi):
     outside the domain have zero permittivity (zero flux at the border).
     `free` and `phi` are flat over the nodes; phi is zero on free nodes.
     """
+    import scipy.sparse as sp
+
     nx, ny = len(hx) + 1, len(hy) + 1
     ep, hxp, hyp = np.pad(eps, 1), np.pad(hx, 1)[:, None], np.pad(hy, 1)
     gx = (ep[1:-1, :-1] * hyp[:-1] + ep[1:-1, 1:] * hyp[1:]) / (2 * hx[:, None])
@@ -227,6 +228,8 @@ def _assemble(eps, hx, hy, free, phi):
 
 def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     """Solve the variable-permittivity Laplace problem on the mesh."""
+    import scipy.sparse.linalg as spla
+
     dirichlet = mesh.dirichlet.ravel()
     if not dirichlet.any():
         raise SolveError("mesh has no Dirichlet node: the potential is undetermined")

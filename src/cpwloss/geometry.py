@@ -16,8 +16,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, asdict
 
-import yaml
-
 from .errors import ConfigError
 
 _UNIT_SCALE = {
@@ -211,6 +209,8 @@ def build_stack(config: dict | None = None, **overrides) -> CpwStack:
 
 def load_stack(path) -> CpwStack:
     """Load a stack from a YAML config file."""
+    import yaml
+
     with open(path) as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
@@ -219,6 +219,8 @@ def load_stack(path) -> CpwStack:
 
 
 def save_stack(stack: CpwStack, path):
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(stack.to_config(), fh, sort_keys=True)
 

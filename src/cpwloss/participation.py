@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 from .errors import ConfigError, SolveError
-from .fieldsolve import FieldSolution, boundary_fields, build_mesh, solve_potential
+from .fieldsolve import (
+    FieldSolution, boundary_fields, build_mesh, epsilon_0, solve_potential,
+)
 from .geometry import CpwStack, RegionId
 
 # Canonical budget row order, matching the per-chip loss tables.

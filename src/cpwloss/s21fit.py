@@ -18,10 +18,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import ConfigError, FitDivergedError, IllConditionedError, NoDipFoundError
+
+hbar = 1.0545718176461565e-34  # J s, h / (2 pi) (scipy.constants.hbar)
 
 
 @dataclass
@@ -137,6 +137,8 @@ def _estimate_delay(f, z):
 
 def _refine_delay(f, z, tau0):
     """Refine tau by maximizing circularity of the delay-corrected data."""
+    from scipy.optimize import minimize_scalar
+
     span = f[-1] - f[0]
     # the slope estimate is good to a small fraction of a phase cycle across
     # the span; a narrow bracket avoids spurious circularity minima at
@@ -162,6 +164,8 @@ def _phase_model(f, theta0, q_l, f_r):
 
 def fit_s21(trace: S21Trace) -> ResonatorFit:
     """Extract (f_r, Q_l, Q_c, Q_i) and environment parameters from a trace."""
+    from scipy.optimize import least_squares
+
     f = trace.frequency
     z = trace.s21
 

@@ -69,13 +69,14 @@ def boxplot_stats(values) -> BoxplotStats:
     """Quartiles (linear-interpolation convention), mean line, 1.5*IQR whiskers.
 
     Whiskers sit at the most extreme data points within 1.5*IQR of the box;
-    anything beyond is an outlier. NaN input is a ConfigError.
+    anything beyond is an outlier. NaN or infinite input is a ConfigError.
     """
     x = np.asarray(list(values), dtype=float)
     if x.size == 0:
         raise ConfigError("boxplot_stats: empty input")
-    if np.isnan(x).any():
-        raise ConfigError(f"boxplot_stats: {np.isnan(x).sum()} NaN value(s)")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"boxplot_stats: {np.isnan(x).sum()} NaN and "
+                          f"{np.isinf(x).sum()} infinite value(s)")
     q1, q3 = np.percentile(x, [25, 75])
     iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -129,7 +130,7 @@ def summarize_chip(chip: str, fits, q_lows=None, q_highs=None,
     fits = list(fits)
     if not fits:
         raise ConfigError("summarize_chip: no fits given")
-    wm = weighted_mean([(f.f_tan_delta0, f.f_tan_delta0_err) for f in fits])
+    # the boxplots reject non-finite values before weighted_mean sees them
     boxplots = {}
     for name, vals in (("f_tan_delta0", [f.f_tan_delta0 for f in fits]),
                        ("q_i_low", q_lows), ("q_i_high", q_highs)):
@@ -138,6 +139,7 @@ def summarize_chip(chip: str, fits, q_lows=None, q_highs=None,
                 boxplots[name] = boxplot_stats(vals)
             except ConfigError as exc:
                 raise ConfigError(f"summarize_chip: {name}: {exc}") from None
+    wm = weighted_mean([(f.f_tan_delta0, f.f_tan_delta0_err) for f in fits])
     summary = ChipSummary(
         chip=chip, sample_holder=sample_holder, f_tan_delta0=wm,
         boxplots=boxplots, n_resonators=len(fits),

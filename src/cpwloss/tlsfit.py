@@ -18,10 +18,11 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import h, k as k_B
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, FitDivergedError
+
+h = 6.62607015e-34  # J s, exact SI value (scipy.constants.h)
+k_B = 1.380649e-23  # J/K, exact SI value (scipy.constants.k)
 
 BOUNDS_LOW = np.array([0.0, 1e-3, 0.01, 0.0])  # F, n_c, b, delta_other
 BOUNDS_HIGH = np.array([np.inf, 1e9, 1.0, np.inf])
@@ -113,6 +114,8 @@ def _unpack(params):
 
 def fit_tls(sweep: PhotonSweep) -> TlsFit:
     """Weighted nonlinear least-squares fit of the loss model to a sweep."""
+    from scipy.optimize import least_squares
+
     n = sweep.n_photon
     q = sweep.q_i
     inv_q = 1.0 / q

@@ -250,9 +250,15 @@ GOOD_FIT = {"f_tan_delta0": 1e-6, "n_c": 10.0, "b": 0.4, "delta_other": 5e-8}
     # null is how a non-finite Q endpoint is written out
     ("stats", json.dumps([dict(GOOD_FIT, q_i_high=2e6),
                           dict(GOOD_FIT, q_i_high=None)]), "q_i_high"),
+    # json writes float("inf") as the bare token Infinity and reads it back
+    ("stats", json.dumps([dict(GOOD_FIT, q_i_high=2e6),
+                          dict(GOOD_FIT, q_i_high=float("inf"))]), "q_i_high"),
+    ("stats", json.dumps([GOOD_FIT, dict(GOOD_FIT, f_tan_delta0=float("inf"))]),
+     "f_tan_delta0"),
 ], ids=["budget-missing-key", "budget-not-json", "budget-not-object",
         "budget-non-numeric", "budget-empty-object", "budget-empty-list",
-        "stats-not-json", "stats-non-numeric", "stats-nan-quantity"])
+        "stats-not-json", "stats-non-numeric", "stats-nan-quantity",
+        "stats-inf-quantity", "stats-inf-f-tan-delta0"])
 def test_malformed_json_input_is_input_error(tmp_path, capsys, command, text,
                                              expected):
     src = tmp_path / "bad.json"

@@ -155,6 +155,14 @@ def test_boxplot_nan_is_input_error():
                        q_highs=[2e6, math.nan])
 
 
+def test_boxplot_inf_is_input_error():
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="1 infinite"):
+            boxplot_stats([1.0, 2.0, bad])
+    with pytest.raises(ConfigError, match="q_i_low.*infinite"):
+        summarize_chip("x", _fake_fits([1e-6, 2e-6]), q_lows=[math.inf, 5e5])
+
+
 def test_compare_table_row_400c():
     c = compare_measured_vs_simulated(1.06e-6, 0.93e-6)
     assert c.ratio == pytest.approx(1.14, abs=0.01)
