@@ -5,17 +5,16 @@ Model:
     S21(f) = a * exp(i*alpha) * exp(-2*pi*i*f*tau)
              * [1 - (Q_l / |Q_c|) * exp(i*phi) / (1 + 2i*Q_l*(f/f_r - 1))]
 
-Fit pipeline: cable-delay estimation from the off-resonant phase slope with
-a circularity-based refinement, algebraic circle fit, phase-vs-frequency fit
-for (f_r, Q_l), environment recovery from the off-resonant point, and the
-diameter correction Q_c = |Q_c| / cos(phi). Q_i follows from
-1/Q_i = 1/Q_l - 1/Q_c.
+Fit pipeline: slope delay and circle fit as start values, then one complex
+least-squares over the seven model parameters; errors from its covariance
+(Probst et al., Rev. Sci. Instrum. 86, 024706 (2015)). The diameter
+correction gives Q_c = |Q_c| / cos(phi), and 1/Q_i = 1/Q_l - 1/Q_c.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +58,8 @@ class ResonatorFit:
     q_l_err: float = 0.0
     q_c_err: float = 0.0
     q_i_err: float = 0.0
+    nfev: int = 0  # model evaluations of the least-squares fit
+    reduced_chi2: float = np.nan  # 2 * cost / dof of that fit
     label: str = ""
 
     @property
@@ -84,7 +85,6 @@ def _fit_circle_algebraic(z):
     u, v = x - xm, y - ym
     zsq = u * u + v * v
     zm = zsq.mean()
-    n = len(z)
     # Taubin constraint matrix formulation
     mat = np.array([
         [np.mean(zsq * zsq), np.mean(zsq * u), np.mean(zsq * v), zm],
@@ -117,12 +117,6 @@ def _fit_circle_algebraic(z):
     return complex(cx, cy), r
 
 
-def _circle_residual(z):
-    center, r = _fit_circle_algebraic(z)
-    d = np.abs(z - center) - r
-    return float(np.sum(d * d)), center, r
-
-
 def _estimate_delay(f, z):
     """Cable delay from the phase slope of the outer 20% of points."""
     n = len(f)
@@ -135,31 +129,27 @@ def _estimate_delay(f, z):
     return -np.mean(slopes) / (2 * np.pi)
 
 
-def _refine_delay(f, z, tau0):
-    """Refine tau by maximizing circularity of the delay-corrected data."""
-    from scipy.optimize import minimize_scalar
-
-    span = f[-1] - f[0]
-    # the slope estimate is good to a small fraction of a phase cycle across
-    # the span; a narrow bracket avoids spurious circularity minima at
-    # delays off by large fractions of a cycle
-    scale = 0.05 / span
-
-    def cost(tau):
-        zz = z * np.exp(2j * np.pi * f * tau)
-        try:
-            res, _, r = _circle_residual(zz)
-        except FitDivergedError:
-            return np.inf
-        return res / max(r * r, 1e-300)
-
-    res = minimize_scalar(cost, bounds=(tau0 - scale, tau0 + scale),
-                          method="bounded", options={"xatol": 1e-9 * scale})
-    return float(res.x)
-
-
-def _phase_model(f, theta0, q_l, f_r):
-    return theta0 + 2 * np.arctan(2 * q_l * (1 - f / f_r))
+def _start_values(f, z, mag, depth):
+    """Start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau) from the phase-slope
+    delay, a circle fit to the delay-corrected data and the dip's shape."""
+    tau = _estimate_delay(f, z)
+    zc = z * np.exp(2j * np.pi * f * tau)
+    center, radius = _fit_circle_algebraic(zc)
+    f_r = f[np.argmin(mag)]
+    # crude Q_l from the half-depth width
+    below = np.where(mag < mag.min() + depth / 2)[0]
+    width = f[below[-1]] - f[below[0]] if len(below) > 1 else (f[-1] - f[0]) / 10
+    q_l = f_r / max(width, f[1] - f[0])
+    # off-resonant point: the circle point in the mean direction of the
+    # outer 10% of points, as seen from the centre
+    k = max(len(f) // 20, 1)
+    outer = np.concatenate([zc[:k], zc[-k:]]) - center
+    offres = center + radius * np.exp(1j * np.angle(np.sum(outer / np.abs(outer))))
+    a = abs(offres)
+    if a <= 0:
+        raise FitDivergedError("degenerate off-resonant point")
+    phi = np.angle(1 - center / offres)
+    return f_r, q_l, q_l * a / (2 * radius), phi, a, np.angle(offres), tau
 
 
 def fit_s21(trace: S21Trace) -> ResonatorFit:
@@ -177,85 +167,90 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     if depth < max(5 * noise, 1e-6 * baseline):
         raise NoDipFoundError("no resonance dip found in trace")
 
-    tau0 = _estimate_delay(f, z)
-    tau = _refine_delay(f, z, tau0)
-    zc = z * np.exp(2j * np.pi * f * tau)
+    f_r0, q_l0, q_c0, phi0, a0, alpha0, tau0 = _start_values(f, z, mag, depth)
+    # Parameters in units of their start values: f_r as an offset in
+    # linewidths, Q_l, |Q_c| and a as ratios, tau as an offset in radians of
+    # phase across the span, phi in radians, and the environment phase taken
+    # at the span centre fc, where it does not trade off against tau.
+    lw0 = f_r0 / q_l0
+    fc = 0.5 * (f[0] + f[-1])
+    df = f - fc
+    tau_unit = 1 / (2 * np.pi * (f[-1] - f[0]))
+    x0 = [0.0, 1.0, 1.0, phi0, 1.0, alpha0 - 2 * np.pi * fc * tau0, 0.0]
 
-    _, center, radius = _circle_residual(zc)
-
-    # phase of the centered data vs frequency
-    theta = np.unwrap(np.angle(zc - center))
-    f_r0 = f[np.argmin(mag)]
-    # crude Q_l from the half-depth width
-    half = mag.min() + depth / 2
-    below = np.where(mag < half)[0]
-    width = f[below[-1]] - f[below[0]] if len(below) > 1 else (f[-1] - f[0]) / 10
-    q_l0 = f_r0 / max(width, (f[1] - f[0]))
-    theta0_init = np.mean(theta) - np.mean(
-        2 * np.arctan(2 * q_l0 * (1 - f / f_r0))
-    )
+    def parts(p):
+        f_r = f_r0 + p[0] * lw0
+        q_l, q_c_mag = q_l0 * p[1], q_c0 * p[2]
+        env = a0 * p[4] * np.exp(1j * (p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit)))
+        den = 1 + 2j * q_l * (f / f_r - 1)
+        g = (q_l / q_c_mag) * np.exp(1j * p[3]) / den
+        return env, g, den, f_r, q_l
 
     def resid(p):
-        d = theta - _phase_model(f, *p)
-        return np.arctan2(np.sin(d), np.cos(d))  # wrap to (-pi, pi]
+        env, g, *_ = parts(p)
+        d = env * (1 - g) - z
+        return np.concatenate([d.real, d.imag])
 
-    sol = least_squares(resid, x0=[theta0_init, q_l0, f_r0],
-                        x_scale=[1.0, q_l0, f_r0], xtol=1e-15, ftol=1e-15,
-                        gtol=1e-15)
+    def jac(p):
+        env, g, den, f_r, q_l = parts(p)
+        eg = env * g
+        model = env - eg
+        cols = np.stack([
+            -2j * lw0 * q_l * f / f_r**2 * eg / den,  # f_r offset
+            -eg / (p[1] * den),  # Q_l ratio
+            eg / p[2],  # |Q_c| ratio
+            -1j * eg,  # phi
+            model / p[4],  # a ratio
+            1j * model,  # alpha at fc
+            -2j * np.pi * tau_unit * df * model,  # tau offset
+        ], axis=1)
+        return np.concatenate([cols.real, cols.imag])
+
+    # no gtol: on a clean trace the gradient vanishes before the parameters
+    # settle, so the fit ends on the step size (xtol) or the cost (ftol)
+    sol = least_squares(resid, x0, jac=jac, gtol=None, xtol=1e-15)
     if not sol.success:
-        raise FitDivergedError(f"phase fit failed: {sol.message}")
-    theta0, q_l, f_r = sol.x
-    if q_l <= 0 or not f[0] <= f_r <= f[-1]:
+        raise FitDivergedError(f"S21 fit did not converge: {sol.message}")
+    p = sol.x
+    f_r, q_l, q_c_mag, a = f_r0 + p[0] * lw0, q_l0 * p[1], q_c0 * p[2], a0 * p[4]
+    if q_l <= 0 or q_c_mag <= 0 or a <= 0 or not f[0] <= f_r <= f[-1]:
         raise FitDivergedError(
-            f"phase fit unphysical (Q_l={q_l:.3g}, f_r={f_r:.6g})"
+            f"S21 fit unphysical (Q_l={q_l:.3g}, |Q_c|={q_c_mag:.3g}, "
+            f"a={a:.3g}, f_r={f_r:.6g})"
         )
-
-    # covariance of the phase fit
-    dof = max(len(f) - 3, 1)
-    s_sq = 2 * sol.cost / dof
-    jtj = sol.jac.T @ sol.jac
-    try:
-        cov = np.linalg.inv(jtj) * s_sq
-    except np.linalg.LinAlgError:
-        cov = np.full((3, 3), np.nan)
-    q_l_err = float(np.sqrt(abs(cov[1, 1])))
-    f_r_err = float(np.sqrt(abs(cov[2, 2])))
-
-    # off-resonant point and environment
-    beta = theta0 + np.pi
-    offres = center + radius * np.exp(1j * beta)
-    a = abs(offres)
-    alpha = float(np.angle(offres))
-    if a <= 0:
-        raise FitDivergedError("degenerate off-resonant point")
-    center_n = center / offres
-    r_n = radius / a
-    phi = float(np.angle(1 - center_n))
+    phi = float(np.angle(np.exp(1j * p[3])))
     if abs(phi) >= np.pi / 2:
         raise IllConditionedError(
             f"impedance-mismatch angle |phi| = {abs(phi):.3f} >= pi/2"
         )
-
-    q_c_mag = q_l / (2 * r_n)
     q_c = q_c_mag / np.cos(phi)
     inv_q_i = 1.0 / q_l - 1.0 / q_c
     if inv_q_i <= 0:
         raise FitDivergedError("fit implies non-positive internal loss")
     q_i = 1.0 / inv_q_i
+    tau = tau0 + p[6] * tau_unit
+    alpha = float(np.angle(np.exp(1j * (p[5] + 2 * np.pi * fc * tau))))
 
-    # radius scatter -> |Q_c| uncertainty; combine with Q_l covariance
-    d_r = np.abs(zc - center) - radius
-    r_err = np.std(d_r) / np.sqrt(len(f))
-    q_c_err = q_c * np.sqrt((q_l_err / q_l) ** 2 + (r_err / radius) ** 2)
-    q_i_err = q_i**2 * np.sqrt(
-        (q_l_err / q_l**2) ** 2 + (q_c_err / q_c**2) ** 2
-    )
+    # covariance of the fit, carried linearly to f_r, Q_l, Q_c and Q_i
+    dof = max(2 * len(f) - len(p), 1)
+    s_sq = 2 * sol.cost / dof
+    try:
+        cov = np.linalg.inv(sol.jac.T @ sol.jac) * s_sq
+    except np.linalg.LinAlgError:
+        cov = np.full((len(p), len(p)), np.nan)
+    d_f_r = np.array([lw0, 0, 0, 0, 0, 0, 0])
+    d_q_l = np.array([0, q_l0, 0, 0, 0, 0, 0])
+    d_q_c = np.array([0, 0, q_c0 / np.cos(phi), q_c * np.tan(phi), 0, 0, 0])
+    d_q_i = q_i**2 * (d_q_l / q_l**2 - d_q_c / q_c**2)
+    grads = np.array([d_f_r, d_q_l, d_q_c, d_q_i])
+    f_r_err, q_l_err, q_c_err, q_i_err = (
+        float(e) for e in np.sqrt(np.abs(np.sum(grads @ cov * grads, axis=1))))
 
     return ResonatorFit(
         f_r=float(f_r), q_l=float(q_l), q_c=float(q_c), q_i=float(q_i),
         phi=phi, a=float(a), alpha=alpha, tau=float(tau),
-        f_r_err=f_r_err, q_l_err=q_l_err, q_c_err=float(q_c_err),
-        q_i_err=float(q_i_err), label=trace.label,
+        f_r_err=f_r_err, q_l_err=q_l_err, q_c_err=q_c_err, q_i_err=q_i_err,
+        nfev=int(sol.nfev), reduced_chi2=float(s_sq), label=trace.label,
     )
 
 
@@ -312,11 +307,12 @@ def read_trace(path, fmt: str = "reim", power_dbm=None) -> S21Trace:
         for row in reader:
             if not row:
                 continue
-            freq.append(float(row[0]))
-            if fmt == "reim":
-                s21.append(float(row[1]) + 1j * float(row[2]))
-            else:
-                s21.append(10 ** (float(row[1]) / 20) * np.exp(1j * float(row[2])))
+            try:
+                f, u, v = (float(x) for x in row)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+            freq.append(f)
+            s21.append(u + 1j * v if fmt == "reim" else 10 ** (u / 20) * np.exp(1j * v))
     return S21Trace(frequency=np.array(freq), s21=np.array(s21),
                     power_dbm=power_dbm, label=str(path))
 

@@ -252,27 +252,29 @@ def read_sweep(path) -> PhotonSweep:
     meta = {}
     rows = []
     with open(path, newline="") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
+            if not line or line.lower().startswith("n_photon"):
                 continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = val.strip()
-                continue
-            if line.lower().startswith("n_photon"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if "=" in body:
+                        key, val = (part.strip() for part in body.split("=", 1))
+                        meta[key] = float(val) if key in ("f_r_hz", "temp_k") else val
+                    continue
+                n_photon, q_i, q_i_sigma = (float(v) for v in line.split(","))
+                rows.append((n_photon, q_i, q_i_sigma))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
     if "f_r_hz" not in meta or "temp_k" not in meta:
         raise ConfigError(f"{path}: missing '# f_r_hz=' or '# temp_k=' metadata")
+    if not rows:
+        raise ConfigError(f"{path}: no n_photon,q_i,q_i_sigma rows")
     data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ConfigError(f"{path}: expected 3 columns n_photon,q_i,q_i_sigma")
     return PhotonSweep(
         n_photon=data[:, 0], q_i=data[:, 1], q_i_sigma=data[:, 2],
-        f_r=float(meta["f_r_hz"]), temperature=float(meta["temp_k"]),
+        f_r=meta["f_r_hz"], temperature=meta["temp_k"],
         chip=meta.get("chip", ""), resonator=meta.get("resonator", ""),
     )
 

@@ -155,7 +155,8 @@ def test_synth_fit_s21_round_trip(tmp_path):
     rec = load(out)[0]
     assert set(rec) == {
         "label", "f_r", "f_r_err", "q_l", "q_l_err", "q_c", "q_c_err", "q_i",
-        "q_i_err", "phi", "a", "alpha", "tau", "n_photon"}
+        "q_i_err", "phi", "a", "alpha", "tau", "nfev", "reduced_chi2",
+        "n_photon"}
     assert rec["f_r"] == pytest.approx(6e9, rel=1e-7)
     assert rec["q_l"] == pytest.approx(5e5, rel=0.005)
     assert rec["n_photon"] > 0
@@ -269,6 +270,25 @@ def test_malformed_json_input_is_input_error(tmp_path, capsys, command, text,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "bad.json" in err and expected in err
+
+
+@pytest.mark.parametrize("command,text,line", [
+    ("fit-s21", "freq_hz,re,im\n6e9,1,0\n6e9,abc,0\n", 3),
+    ("fit-s21", "freq_hz,re,im\n6e9,1\n", 2),
+    ("fit-tls", "# f_r_hz=6e9\n# temp_k=0.01\nn_photon,q_i,q_i_sigma\n"
+                "1,abc,3\n", 4),
+    ("fit-tls", "# f_r_hz=abc\n# temp_k=0.01\nn_photon,q_i,q_i_sigma\n"
+                "1,2,3\n", 1),
+], ids=["trace-non-numeric", "trace-short-row", "sweep-non-numeric",
+        "sweep-non-numeric-metadata"])
+def test_malformed_csv_input_is_input_error(tmp_path, capsys, command, text,
+                                            line):
+    src = tmp_path / "bad.csv"
+    src.write_text(text)
+    assert run([command, str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "bad.csv" in err and f"line {line}" in err
 
 
 def test_reproduce_tables(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar
 
 from cpwloss import ResonatorFit, S21Trace, fit_s21, notch_model, photon_number, synth_trace
@@ -82,7 +83,8 @@ def test_environment_invariance():
 
 def test_noise_monte_carlo_40db():
     hits = 0
-    q_i_true = 1 / (1 / 5e5 - 1 / 1e6)
+    q_i_true = 1 / (1 / 5e5 - np.cos(0.1) / 1e6)
+    fits, q_i_errs = [], []
     for seed in range(100):
         trace = synth_trace(f_r=6e9, q_l=5e5, q_c_mag=1e6, phi=0.1, a=0.9,
                             alpha=0.3, tau=40e-9, snr_db=40.0, seed=seed)
@@ -90,9 +92,49 @@ def test_noise_monte_carlo_40db():
             fit = fit_s21(trace)
         except Exception:
             continue
-        if abs(fit.q_i - q_i_true) / q_i_true < 0.05:
+        fits.append(fit)
+        q_i_errs.append(abs(fit.q_i - q_i_true) / q_i_true)
+        if q_i_errs[-1] < 0.05:
             hits += 1
     assert hits >= 95
+    assert np.percentile(q_i_errs, 90) <= 0.025
+    # the reported errors are calibrated: they match the scatter over seeds
+    for name in ("q_i", "q_l", "f_r"):
+        values = [getattr(fit, name) for fit in fits]
+        reported = np.median([getattr(fit, name + "_err") for fit in fits])
+        assert 0.8 <= np.std(values, ddof=1) / reported <= 1.25, name
+    # reduced chi^2 estimates the noise variance per quadrature
+    sigma = 0.9 * 10 ** (-40.0 / 20)
+    assert np.median([fit.reduced_chi2 for fit in fits]) == pytest.approx(
+        sigma**2 / 2, rel=0.05)
+    assert all(fit.nfev > 0 for fit in fits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f_r=st.floats(4e9, 8e9),
+    log_q_l=st.floats(3.0, 7.0),
+    coupling=st.floats(1.05, 100.0),
+    phi=st.floats(-0.45, 0.45),
+    a=st.floats(0.5, 1.5),
+    alpha=st.floats(-np.pi, np.pi, exclude_min=True, exclude_max=True),
+    tau=st.floats(0.0, 60e-9),
+    span=st.floats(30.0, 120.0),
+    n_points=st.integers(201, 2001),
+)
+def test_noiseless_regime_map(f_r, log_q_l, coupling, phi, a, alpha, tau,
+                              span, n_points):
+    q_l = 10**log_q_l
+    q_c_mag = coupling * q_l
+    trace = synth_trace(f_r=f_r, q_l=q_l, q_c_mag=q_c_mag, phi=phi, a=a,
+                        alpha=alpha, tau=tau, n_points=n_points,
+                        span_linewidths=span)
+    fit = fit_s21(trace)
+    q_c = q_c_mag / np.cos(phi)
+    assert fit.f_r == pytest.approx(f_r, rel=1e-9)
+    assert fit.q_l == pytest.approx(q_l, rel=1e-9)
+    assert fit.q_c == pytest.approx(q_c, rel=1e-9)
+    assert fit.q_i == pytest.approx(1 / (1 / q_l - 1 / q_c), rel=1e-9)
 
 
 def test_flat_trace_no_dip():
