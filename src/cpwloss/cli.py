@@ -143,37 +143,49 @@ def cmd_budget(args):
     return 0
 
 
+def _fit_each(paths, fit_one, output):
+    """Run `fit_one` (read, fit, print, return a record) on each input. A
+    fit that fails is reported with its path and the other inputs go on;
+    the records that succeeded are written and the exit code is 2. Input
+    errors propagate."""
+    records, code = [], 0
+    for path in sorted(paths):
+        try:
+            records.append(fit_one(path))
+        except FitError as exc:
+            print(f"numerical failure: {path}: {exc}", file=sys.stderr)
+            code = 2
+    if output:
+        _json_dump(records, output)
+    return code
+
+
 def cmd_fit_s21(args):
-    records = []
-    for path in sorted(args.traces):
+    def fit_one(path):
         trace = s21fit.read_trace(path, fmt=args.format, power_dbm=args.power_dbm)
         fit = s21fit.fit_s21(trace)
         rec = asdict(fit)
         if args.power_dbm is not None:
             rec["n_photon"] = s21fit.photon_number(args.power_dbm, fit)
-        records.append(rec)
         print(f"{path}: f_r={fit.f_r:.6e} Hz  Q_l={fit.q_l:.4e}  "
               f"Q_i={fit.q_i:.4e}  Q_c={fit.q_c:.4e}")
-    if args.output:
-        _json_dump(records, args.output)
-    return 0
+        return rec
+
+    return _fit_each(args.traces, fit_one, args.output)
 
 
 def cmd_fit_tls(args):
-    records = []
-    for path in sorted(args.sweeps):
+    def fit_one(path):
         sweep = tlsfit.read_sweep(path)
         fit = tlsfit.fit_tls(sweep)
         ends = tlsfit.q_low_high(fit, sweep)
-        rec = dict(asdict(fit), input=str(path), q_i_low=ends.q_low,
-                   q_i_high=ends.q_high, q_i_low_extrapolated=ends.extrapolated)
-        records.append(rec)
         flagtxt = f"  [{','.join(fit.flags)}]" if fit.flags else ""
         print(f"{path}: F*tan_d0={fit.f_tan_delta0:.4e}  n_c={fit.n_c:.4g}  "
               f"b={fit.b:.4f}  delta_other={fit.delta_other:.4e}{flagtxt}")
-    if args.output:
-        _json_dump(records, args.output)
-    return 0
+        return dict(asdict(fit), input=str(path), q_i_low=ends.q_low,
+                    q_i_high=ends.q_high, q_i_low_extrapolated=ends.extrapolated)
+
+    return _fit_each(args.sweeps, fit_one, args.output)
 
 
 def cmd_stats(args):

@@ -6,9 +6,10 @@ Model:
              * [1 - (Q_l / |Q_c|) * exp(i*phi) / (1 + 2i*Q_l*(f/f_r - 1))]
 
 Fit pipeline: slope delay and circle fit as start values, then one complex
-least-squares over the seven model parameters; errors from its covariance
-(Probst et al., Rev. Sci. Instrum. 86, 024706 (2015)). The diameter
-correction gives Q_c = |Q_c| / cos(phi), and 1/Q_i = 1/Q_l - 1/Q_c.
+least-squares fit (MINPACK Levenberg-Marquardt) over the seven model
+parameters; errors from its covariance (Probst et al., Rev. Sci. Instrum.
+86, 024706 (2015)). The diameter correction gives Q_c = |Q_c| / cos(phi),
+and 1/Q_i = 1/Q_l - 1/Q_c.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ class ResonatorFit:
     q_i: float
     phi: float  # impedance-mismatch angle, rad
     a: float
-    alpha: float
+    alpha: float  # environment phase at f = 0, rad
     tau: float
     f_r_err: float = 0.0
     q_l_err: float = 0.0
     q_c_err: float = 0.0
     q_i_err: float = 0.0
+    alpha_err: float = 0.0
+    tau_err: float = 0.0
     nfev: int = 0  # model evaluations of the least-squares fit
     reduced_chi2: float = np.nan  # 2 * cost / dof of that fit
     label: str = ""
@@ -178,13 +181,19 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     tau_unit = 1 / (2 * np.pi * (f[-1] - f[0]))
     x0 = [0.0, 1.0, 1.0, phi0, 1.0, alpha0 - 2 * np.pi * fc * tau0, 0.0]
 
+    memo = {}  # the last parameter vector's model parts, shared by resid and jac
+
     def parts(p):
-        f_r = f_r0 + p[0] * lw0
-        q_l, q_c_mag = q_l0 * p[1], q_c0 * p[2]
-        env = a0 * p[4] * np.exp(1j * (p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit)))
-        den = 1 + 2j * q_l * (f / f_r - 1)
-        g = (q_l / q_c_mag) * np.exp(1j * p[3]) / den
-        return env, g, den, f_r, q_l
+        key = p.tobytes()
+        if key not in memo:
+            f_r = f_r0 + p[0] * lw0
+            q_l, q_c_mag = q_l0 * p[1], q_c0 * p[2]
+            env = a0 * p[4] * np.exp(1j * (p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit)))
+            den = 1 + 2j * q_l * (f / f_r - 1)
+            g = (q_l / q_c_mag) * np.exp(1j * p[3]) / den
+            memo.clear()
+            memo[key] = env, g, den, f_r, q_l
+        return memo[key]
 
     def resid(p):
         env, g, *_ = parts(p)
@@ -206,9 +215,13 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
         ], axis=1)
         return np.concatenate([cols.real, cols.imag])
 
-    # no gtol: on a clean trace the gradient vanishes before the parameters
-    # settle, so the fit ends on the step size (xtol) or the cost (ftol)
-    sol = least_squares(resid, x0, jac=jac, gtol=None, xtol=1e-15)
+    # The problem has no bounds, so MINPACK's Levenberg-Marquardt (lmder)
+    # solves it without trf's SVD of the Jacobian at every step. MINPACK
+    # needs every tolerance above machine epsilon. gtol=1e-15 keeps the
+    # gradient test in effect off: on a clean trace the gradient vanishes
+    # before the parameters settle. A looser xtol stops clean fits short of
+    # the exact answer, so the fit ends on xtol=1e-15 or on the cost (ftol).
+    sol = least_squares(resid, x0, jac=jac, method="lm", gtol=1e-15, xtol=1e-15)
     if not sol.success:
         raise FitDivergedError(f"S21 fit did not converge: {sol.message}")
     p = sol.x
@@ -231,7 +244,7 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     tau = tau0 + p[6] * tau_unit
     alpha = float(np.angle(np.exp(1j * (p[5] + 2 * np.pi * fc * tau))))
 
-    # covariance of the fit, carried linearly to f_r, Q_l, Q_c and Q_i
+    # covariance of the fit, carried linearly to f_r, Q_l, Q_c, Q_i, alpha, tau
     dof = max(2 * len(f) - len(p), 1)
     s_sq = 2 * sol.cost / dof
     try:
@@ -242,14 +255,17 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     d_q_l = np.array([0, q_l0, 0, 0, 0, 0, 0])
     d_q_c = np.array([0, 0, q_c0 / np.cos(phi), q_c * np.tan(phi), 0, 0, 0])
     d_q_i = q_i**2 * (d_q_l / q_l**2 - d_q_c / q_c**2)
-    grads = np.array([d_f_r, d_q_l, d_q_c, d_q_i])
-    f_r_err, q_l_err, q_c_err, q_i_err = (
+    d_alpha = np.array([0, 0, 0, 0, 0, 1, 2 * np.pi * fc * tau_unit])
+    d_tau = np.array([0, 0, 0, 0, 0, 0, tau_unit])
+    grads = np.array([d_f_r, d_q_l, d_q_c, d_q_i, d_alpha, d_tau])
+    f_r_err, q_l_err, q_c_err, q_i_err, alpha_err, tau_err = (
         float(e) for e in np.sqrt(np.abs(np.sum(grads @ cov * grads, axis=1))))
 
     return ResonatorFit(
         f_r=float(f_r), q_l=float(q_l), q_c=float(q_c), q_i=float(q_i),
         phi=phi, a=float(a), alpha=alpha, tau=float(tau),
         f_r_err=f_r_err, q_l_err=q_l_err, q_c_err=q_c_err, q_i_err=q_i_err,
+        alpha_err=alpha_err, tau_err=tau_err,
         nfev=int(sol.nfev), reduced_chi2=float(s_sq), label=trace.label,
     )
 

@@ -155,8 +155,8 @@ def test_synth_fit_s21_round_trip(tmp_path):
     rec = load(out)[0]
     assert set(rec) == {
         "label", "f_r", "f_r_err", "q_l", "q_l_err", "q_c", "q_c_err", "q_i",
-        "q_i_err", "phi", "a", "alpha", "tau", "nfev", "reduced_chi2",
-        "n_photon"}
+        "q_i_err", "phi", "a", "alpha", "alpha_err", "tau", "tau_err", "nfev",
+        "reduced_chi2", "n_photon"}
     assert rec["f_r"] == pytest.approx(6e9, rel=1e-7)
     assert rec["q_l"] == pytest.approx(5e5, rel=0.005)
     assert rec["n_photon"] > 0
@@ -179,13 +179,56 @@ def test_synth_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_fit_s21_no_dip_exit_code(tmp_path):
-    flat = tmp_path / "flat.csv"
+def _flat_trace(path):
     lines = ["freq_hz,re,im"]
     for k in range(200):
         lines.append(f"{6e9 + k * 1e4:.6e},1.0,0.0")
-    flat.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_fit_s21_no_dip_exit_code(tmp_path):
+    flat = _flat_trace(tmp_path / "flat.csv")
     assert run(["fit-s21", str(flat)]) == 2
+
+
+def test_fit_s21_failed_input_keeps_other_fits(tmp_path, capsys):
+    flat = _flat_trace(tmp_path / "flat.csv")
+    good = tmp_path / "good.csv"
+    assert run(["synth", "--s21", "fr=6e9,ql=5e5,qc=1e6", "--output", str(good)]) == 0
+    out = tmp_path / "multi.json"
+    capsys.readouterr()
+    assert run(["fit-s21", str(flat), str(good), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: {flat}: no resonance dip" in err
+    records = load(out)
+    assert [rec["label"] for rec in records] == [str(good)]
+    assert records[0]["q_l"] == pytest.approx(5e5, rel=0.005)
+
+
+def test_fit_tls_failed_input_keeps_other_fits(tmp_path, capsys, monkeypatch):
+    from cpwloss import tlsfit
+    from cpwloss.errors import FitDivergedError
+
+    bad, good = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path in (bad, good):
+        assert run(["synth", "--tls", "F=1e-6,nc=10,b=0.4,other=5e-8",
+                    "--seed", "7", "--output", str(path)]) == 0
+    fit_tls = tlsfit.fit_tls
+    calls = []
+
+    def fail_first(sweep):  # inputs are fitted in sorted order: a.csv first
+        calls.append(sweep)
+        if len(calls) == 1:
+            raise FitDivergedError("TLS fit did not converge: test")
+        return fit_tls(sweep)
+
+    monkeypatch.setattr(tlsfit, "fit_tls", fail_first)
+    out = tmp_path / "multi.json"
+    capsys.readouterr()
+    assert run(["fit-tls", str(good), str(bad), "--output", str(out)]) == 2
+    assert f"numerical failure: {bad}: TLS fit did not converge" in capsys.readouterr().err
+    assert [rec["input"] for rec in load(out)] == [str(good)]
 
 
 def test_stats_pipeline(tmp_path, capsys):

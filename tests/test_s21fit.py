@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.constants import hbar
 
 from cpwloss import ResonatorFit, S21Trace, fit_s21, notch_model, photon_number, synth_trace
@@ -99,7 +99,7 @@ def test_noise_monte_carlo_40db():
     assert hits >= 95
     assert np.percentile(q_i_errs, 90) <= 0.025
     # the reported errors are calibrated: they match the scatter over seeds
-    for name in ("q_i", "q_l", "f_r"):
+    for name in ("q_i", "q_l", "f_r", "tau"):
         values = [getattr(fit, name) for fit in fits]
         reported = np.median([getattr(fit, name + "_err") for fit in fits])
         assert 0.8 <= np.std(values, ddof=1) / reported <= 1.25, name
@@ -110,6 +110,21 @@ def test_noise_monte_carlo_40db():
     assert all(fit.nfev > 0 for fit in fits)
 
 
+def _regime_corners(test):
+    """Pin the extreme corners of the regime map as explicit examples: Q_l
+    1e3 and 1e7, Q_c/Q_l 1.05 and 100 and phi -0.45 and 0.45, at the fewest
+    points and linewidths and the longest delay; f_r, a and alpha sit at
+    their low ends for phi < 0 and at their high ends for phi > 0."""
+    for log_q_l in (3.0, 7.0):
+        for coupling in (1.05, 100.0):
+            for phi, f_r, a, alpha in ((-0.45, 4e9, 0.5, -3.14), (0.45, 8e9, 1.5, 3.14)):
+                test = example(f_r=f_r, log_q_l=log_q_l, coupling=coupling, phi=phi,
+                               a=a, alpha=alpha, tau=60e-9, span=30.0,
+                               n_points=201)(test)
+    return test
+
+
+@_regime_corners
 @settings(max_examples=60, deadline=None)
 @given(
     f_r=st.floats(4e9, 8e9),
@@ -135,6 +150,15 @@ def test_noiseless_regime_map(f_r, log_q_l, coupling, phi, a, alpha, tau,
     assert fit.q_l == pytest.approx(q_l, rel=1e-9)
     assert fit.q_c == pytest.approx(q_c, rel=1e-9)
     assert fit.q_i == pytest.approx(1 / (1 / q_l - 1 / q_c), rel=1e-9)
+
+
+def test_alpha_error_covers_delay_extrapolation():
+    # alpha is the environment phase at f = 0, ~6 GHz from the data, so a
+    # small delay error moves it by radians; its reported error must say so
+    trace = synth_trace(f_r=6e9, q_l=5e5, q_c_mag=1e6, phi=0.1, tau=4e-8,
+                        snr_db=45.0, seed=3)
+    fit = fit_s21(trace)
+    assert abs(np.angle(np.exp(1j * fit.alpha))) <= 2 * fit.alpha_err
 
 
 def test_flat_trace_no_dip():
