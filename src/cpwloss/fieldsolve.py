@@ -2,11 +2,11 @@
 
 Finite-volume discretization of div(eps * grad(phi)) = 0 on a graded
 rectilinear tensor grid. The center trace is held at 1 V, ground planes and
-the outer domain box at 0 V. The lateral mirror symmetry is exploited by
-default: only x >= 0 is meshed and the symmetry plane carries a natural
-zero-flux condition. Every conductor edge and face is a grid line; the mesh
-records their node indices, and cells, electrodes and contours are set by
-index, never by comparing coordinates.
+the outer domain box at 0 V. Every mesh is the x >= 0 half of a
+mirror-symmetric cross section: the plane x = 0 carries zero flux, and
+energies count the mirror image. Every conductor edge and face is a grid
+line; the mesh records their node indices, and cells, electrodes and
+contours are set by index, never by comparing coordinates.
 
 The matrix is assembled from edge conductances: each grid edge couples its
 two end nodes with eps times the half faces of the adjacent cells over the
@@ -18,8 +18,7 @@ with a symmetric fill-reducing ordering, minimum degree on A^T + A.
 
 Thin interface oxides are never meshed (nm layers in a mm domain); they are
 handled by boundary post-processing in the participation module, which
-consumes the air-side boundary fields sampled here. Contours are sampled on
-x >= 0 in either domain mode and their integrals scaled by 2.
+consumes the air-side boundary fields sampled here.
 """
 
 from __future__ import annotations
@@ -84,7 +83,9 @@ def _graded_axis(breakpoints, end_sizes, ratio, hmax):
 
 @dataclass
 class Mesh:
-    """Tensor-product grid with per-cell permittivity and Dirichlet data."""
+    """Tensor-product grid on x >= 0 with per-cell permittivity and Dirichlet
+    data: the half of a cross section mirrored about x = 0, whose plane x = 0
+    carries zero flux and whose energies count the mirror image."""
 
     x: np.ndarray  # node x coordinates, shape (nx,)
     y: np.ndarray  # node y coordinates, shape (ny,)
@@ -92,18 +93,16 @@ class Mesh:
     region: np.ndarray  # cell region code, shape (nx-1, ny-1)
     dirichlet: np.ndarray  # node mask, shape (nx, ny)
     dirichlet_value: np.ndarray  # node values where dirichlet is True
-    # node indices of the conductor grid lines on x >= 0: "axis", "trace_edge",
+    # node indices of the conductor grid lines: "axis", "trace_edge",
     # "ground_edge" in x; "surface", "metal_top", "trench_floor" (if any) in y
     lines: dict = field(default_factory=dict)
-    symmetry_factor: float = 1.0
 
     @property
     def n_cells(self):
         return (len(self.x) - 1) * (len(self.y) - 1)
 
 
-def build_mesh(stack: CpwStack, refinement_level: int = 1,
-               full_domain: bool = False) -> Mesh:
+def build_mesh(stack: CpwStack, refinement_level: int = 1) -> Mesh:
     """Mesh the cross section (air + substrate; interface layers excluded)."""
     if refinement_level < 1:
         raise MeshError(f"refinement_level must be >= 1, got {refinement_level}")
@@ -152,20 +151,9 @@ def build_mesh(stack: CpwStack, refinement_level: int = 1,
     dirichlet[:, [0, -1]] = True
     dirichlet[-1, :] = True
 
-    if full_domain:
-        # mirror image about x = 0; the mirrored outer column is grounded too
-        shift = len(x) - 1
-        x = np.concatenate([-x[::-1], x[1:]])
-        region, eps = (np.concatenate([a[::-1], a]) for a in (region, eps))
-        dirichlet, value = (np.concatenate([a[::-1], a[1:]])
-                            for a in (dirichlet, value))
-        for key in ("axis", "trace_edge", "ground_edge"):
-            lines[key] += shift
-
     return Mesh(
         x=x, y=y, eps=eps, region=region,
         dirichlet=dirichlet, dirichlet_value=value, lines=lines,
-        symmetry_factor=1.0 if full_domain else 2.0,
     )
 
 
@@ -188,6 +176,12 @@ class FieldSolution:
     def capacitance_per_length(self) -> float:
         """C' = 2 U / V^2 in F/m."""
         return 2.0 * self.total_energy / self.voltage**2
+
+
+def _cell_energy(mesh, ex, ey):
+    """Energy per unit length of each cell plus its mirror image, J/m."""
+    dx, dy = np.diff(mesh.x)[:, None], np.diff(mesh.y)[None, :]
+    return epsilon_0 * mesh.eps * (ex**2 + ey**2) * dx * dy
 
 
 def _assemble(eps, hx, hy, free, phi):
@@ -262,11 +256,9 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     dy = hy[None, :]
     ex = -((phi[1:, :-1] - phi[:-1, :-1]) + (phi[1:, 1:] - phi[:-1, 1:])) / (2 * dx)
     ey = -((phi[:-1, 1:] - phi[:-1, :-1]) + (phi[1:, 1:] - phi[1:, :-1])) / (2 * dy)
-    u_cell = 0.5 * epsilon_0 * mesh.eps * (ex**2 + ey**2) * dx * dy
-
-    sf = mesh.symmetry_factor
-    e_sub = sf * float(u_cell[mesh.region == CELL_SUBSTRATE].sum())
-    e_air = sf * float(u_cell[mesh.region == CELL_AIR].sum())
+    u_cell = _cell_energy(mesh, ex, ey)
+    e_sub = float(u_cell[mesh.region == CELL_SUBSTRATE].sum())
+    e_air = float(u_cell[mesh.region == CELL_AIR].sum())
     region_energy = {RegionId.Substrate: e_sub, RegionId.Air: e_air}
 
     return FieldSolution(
@@ -331,8 +323,8 @@ def _contour(phi, along, across, k, a, b, step, tangential):
 def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySamples:
     """Sample (E_par, E_norm) on the air side of an interface contour.
 
-    Samples cover x >= 0 only; the cross section is mirror symmetric, so
-    contour integrals are twice the sampled ones in either domain mode.
+    Samples cover the meshed half x >= 0 only, so contour integrals are
+    twice the sampled ones.
     """
     x, y, lines = solution.mesh.x, solution.mesh.y, solution.mesh.lines
     if not lines:
@@ -390,23 +382,6 @@ def solve_with_meshed_sa_layer(stack: CpwStack, eps_layer: float,
     mesh.eps[in_layer] = eps_layer
     mesh.region[in_layer] = CELL_SUBSTRATE
     solution = solve_potential(mesh)
+    u_layer = _cell_energy(mesh, solution.ex, solution.ey)[in_layer]
+    return solution, float(u_layer.sum()) / solution.total_energy
 
-    dx = np.diff(mesh.x)[:, None]
-    dy = np.diff(mesh.y)[None, :]
-    u_cell = 0.5 * epsilon_0 * mesh.eps * (solution.ex**2 + solution.ey**2) * dx * dy
-    layer_energy = mesh.symmetry_factor * float(u_cell[in_layer].sum())
-    return solution, layer_energy / solution.total_energy
-
-
-def cpw_capacitance_conformal(trace_width, gap, eps_substrate):
-    """Conformal-mapping C' for a zero-thickness CPW on a half-space.
-
-    C' = 4 eps0 (1 + eps_r)/2 * K(k)/K(k'), k = w / (w + 2 g). Used as the
-    independent oracle for the solver; kept separate from the FD path.
-    """
-    from scipy.special import ellipk
-
-    k = trace_width / (trace_width + 2 * gap)
-    kp = np.sqrt(1 - k * k)
-    eps_eff = (1 + eps_substrate) / 2
-    return 4 * epsilon_0 * eps_eff * ellipk(k * k) / ellipk(kp * kp)

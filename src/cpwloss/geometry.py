@@ -14,6 +14,8 @@ either as plain numbers (meters) or strings with a unit suffix ("10 um").
 from __future__ import annotations
 
 import enum
+import math
+import re
 from dataclasses import dataclass, field, asdict
 
 from .errors import ConfigError
@@ -25,32 +27,20 @@ _UNIT_SCALE = {
     "µm": 1e-6,
     "nm": 1e-9,
 }
+# a number, then optionally a unit of _UNIT_SCALE, with or without a space
+_LENGTH_PATTERN = re.compile(
+    r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(%s)?\s*"
+    % "|".join(sorted(_UNIT_SCALE, key=len, reverse=True)))
 
 
 def parse_length(value) -> float:
     """Parse a length given in meters or as a string with a unit suffix."""
     if isinstance(value, (int, float)):
         return float(value)
-    if isinstance(value, str):
-        parts = value.strip().split()
-        if len(parts) == 1:
-            # allow "10um" without a space
-            for unit in sorted(_UNIT_SCALE, key=len, reverse=True):
-                if parts[0].endswith(unit):
-                    num = parts[0][: -len(unit)]
-                    if num:
-                        parts = [num, unit]
-                        break
-        if len(parts) == 2 and parts[1] in _UNIT_SCALE:
-            try:
-                return float(parts[0]) * _UNIT_SCALE[parts[1]]
-            except ValueError:
-                raise ConfigError(f"cannot parse length {value!r}") from None
-        try:
-            return float(parts[0])
-        except ValueError:
-            raise ConfigError(f"cannot parse length {value!r}") from None
-    raise ConfigError(f"cannot parse length {value!r}")
+    match = _LENGTH_PATTERN.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ConfigError(f"cannot parse length {value!r}")
+    return float(match[1]) * _UNIT_SCALE[match[2] or "m"]
 
 
 class RegionId(enum.Enum):
@@ -70,13 +60,15 @@ class MaterialConstants:
     loss_tangent: float
 
     def __post_init__(self):
-        if self.relative_permittivity < 1.0:
+        # chained comparisons are False for NaN, so non-finite values fail too
+        if not 1.0 <= self.relative_permittivity < math.inf:
             raise ConfigError(
-                f"material {self.name!r}: relative permittivity "
-                f"{self.relative_permittivity} < 1"
+                f"material {self.name!r}: relative_permittivity must be finite "
+                f"and >= 1, got {self.relative_permittivity}"
             )
-        if self.loss_tangent < 0.0:
-            raise ConfigError(f"material {self.name!r}: negative loss tangent")
+        if not 0.0 <= self.loss_tangent < math.inf:
+            raise ConfigError(f"material {self.name!r}: loss_tangent must be "
+                              f"finite and >= 0, got {self.loss_tangent}")
 
 
 # Default material set: Si substrate, air, Ta2O5 metal oxide, SiO2 gap oxide.
@@ -129,18 +121,18 @@ class CpwStack:
             "domain_height_air": self.domain_height_air,
             "domain_depth_substrate": self.domain_depth_substrate,
         }
-        for name, value in positive.items():
-            if not value > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
         nonneg = {
             "trench_depth": self.trench_depth,
             "layer_MA_top": self.layer_MA_top,
             "layer_MA_side": self.layer_MA_side,
             "layer_SA": self.layer_SA,
         }
+        for name, value in positive.items():
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         for name, value in nonneg.items():
-            if value < 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 < self.ma_scale <= 1.0:
             raise ConfigError(f"ma_scale must be in (0, 1], got {self.ma_scale}")
         for t in (self.layer_MA_top, self.layer_MA_side, self.layer_SA):

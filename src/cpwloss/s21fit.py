@@ -59,6 +59,7 @@ class ResonatorFit:
     q_l_err: float = 0.0
     q_c_err: float = 0.0
     q_i_err: float = 0.0
+    # linearised error of the wrapped alpha: meaningful only well below ~1 rad
     alpha_err: float = 0.0
     tau_err: float = 0.0
     nfev: int = 0  # model evaluations of the least-squares fit

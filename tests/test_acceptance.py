@@ -17,7 +17,6 @@ from cpwloss import (
     loss_budget, simulate_budget, solve_potential, synth_sweep, synth_trace,
     thin_layer_participation, weighted_mean,
 )
-from cpwloss.fieldsolve import cpw_capacitance_conformal
 from cpwloss.geometry import reference_presets
 from cpwloss.tlsfit import thermal_factor, tls_inverse_q, tls_jacobian
 
@@ -151,14 +150,14 @@ def test_criterion_3_loss_shares(simulated_budgets):
 
 
 def test_criterion_4_analytic_field_oracles():
+    from test_fieldsolve import _parallel_plate_mesh, cpw_capacitance_conformal
+
     # CPW capacitance vs the conformal-mapping formula (thin metal so the
     # zero-thickness assumption of the oracle applies)
     stack = build_stack({"metal_thickness": "10 nm"})
     sol = solve_potential(build_mesh(stack, 3))
     c_ref = cpw_capacitance_conformal(stack.trace_width, stack.gap, 11.9)
     c_dev = abs(sol.capacitance_per_length - c_ref) / c_ref
-
-    from test_fieldsolve import _parallel_plate_mesh
 
     mesh = _parallel_plate_mesh()
     flat = solve_potential(mesh)

@@ -84,8 +84,9 @@ def test_simulate_config_file_and_env(tmp_path, monkeypatch, capsys):
 
 def test_simulate_bad_config(tmp_path):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text("gap: -1 um\n")
-    assert run(["simulate", "--config", str(cfg)]) == 1
+    for text in ("gap: -1 um\n", "trace_width: 10 cm\n", "trench_depth: .nan\n"):
+        cfg.write_text(text)
+        assert run(["simulate", "--config", str(cfg)]) == 1
     assert run(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 1
 
 

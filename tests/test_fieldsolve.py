@@ -8,9 +8,22 @@ from cpwloss import (
 )
 from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
-    CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, boundary_fields,
-    cpw_capacitance_conformal, dump_fields_csv,
+    CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, boundary_fields, dump_fields_csv,
 )
+
+
+def cpw_capacitance_conformal(trace_width, gap, eps_substrate):
+    """Conformal-mapping C' for a zero-thickness CPW on a half-space.
+
+    C' = 4 eps0 (1 + eps_r)/2 * K(k)/K(k'), k = w / (w + 2 g). Used as the
+    independent oracle for the solver; kept separate from the FD path.
+    """
+    from scipy.special import ellipk
+
+    k = trace_width / (trace_width + 2 * gap)
+    kp = np.sqrt(1 - k * k)
+    eps_eff = (1 + eps_substrate) / 2
+    return 4 * epsilon_0 * eps_eff * ellipk(k * k) / ellipk(kp * kp)
 
 
 def _graded(a, b, n, ratio=1.25):
@@ -56,7 +69,8 @@ def test_parallel_plate_linear_potential():
 
 
 def test_parallel_plate_capacitance():
-    d, width = 1e-6, 1e-6
+    # the mesh on x in [0, 1 um] is the half of a plate 2 um wide
+    d, width = 1e-6, 2e-6
     mesh = _parallel_plate_mesh(eps_rows=4.0)
     sol = solve_potential(mesh)
     assert sol.capacitance_per_length == pytest.approx(
@@ -66,7 +80,7 @@ def test_parallel_plate_capacitance():
     d1, d2, eps1, eps2 = 0.4e-6, 0.7e-6, 11.9, 3.9
     y = np.concatenate((_graded(0.0, d1, 15), _graded(d1, d1 + d2, 20, 0.8)[1:]))
     rows = np.where(0.5 * (y[:-1] + y[1:]) < d1, eps1, eps2)
-    sol = solve_potential(_parallel_plate_mesh(x=_graded(0.0, width, 25), y=y,
+    sol = solve_potential(_parallel_plate_mesh(x=_graded(0.0, width / 2, 25), y=y,
                                                eps_rows=rows))
     assert sol.capacitance_per_length == pytest.approx(
         epsilon_0 * width / (d1 / eps1 + d2 / eps2), rel=1e-12)
@@ -182,15 +196,15 @@ def test_solution_invariants_random_cross_sections(width_um, gap_um, trench_um,
     assert unit.residual <= 1e-10 and scaled.residual <= 1e-10
 
 
-def _classify_by_coordinates(stack, x, y, full_domain):
+def _classify_by_coordinates(stack, x, y):
     """Cells by midpoint and electrode nodes within a tolerance band of the
     conductor lines: the coordinate classification the index masks replace."""
     w2 = stack.trace_width / 2
     xg, tm, td = w2 + stack.gap, stack.metal_thickness, stack.trench_depth
-    axm = np.abs(0.5 * (x[:-1] + x[1:]))[:, None]
+    xm = 0.5 * (x[:-1] + x[1:])[:, None]
     ym = 0.5 * (y[:-1] + y[1:])[None, :]
-    in_metal = (ym > 0) & (ym < tm) & ((axm < w2) | (axm > xg))
-    in_trench = (ym < 0) & (ym > -td) & (axm > w2) & (axm < xg)
+    in_metal = (ym > 0) & (ym < tm) & ((xm < w2) | (xm > xg))
+    in_trench = (ym < 0) & (ym > -td) & (xm > w2) & (xm < xg)
     in_substrate = (ym < 0) & ~in_trench
     region = np.full(in_metal.shape, CELL_AIR, dtype=np.int8)
     region[in_substrate] = CELL_SUBSTRATE
@@ -199,12 +213,12 @@ def _classify_by_coordinates(stack, x, y, full_domain):
     eps[in_substrate] = stack.materials["substrate"].relative_permittivity
 
     tol = 1e-15 + 1e-9 * min(tm, stack.gap)
-    axn, yn = np.abs(x)[:, None], y[None, :]
+    xn, yn = x[:, None], y[None, :]
     band = (yn > -tol) & (yn < tm + tol)
-    on_trace = band & (axn < w2 + tol)
-    dirichlet = on_trace | (band & (axn > xg - tol))
+    on_trace = band & (xn < w2 + tol)
+    dirichlet = on_trace | (band & (xn > xg - tol))
     dirichlet[:, [0, -1]] = True
-    dirichlet[[0, -1] if full_domain else [-1], :] = True
+    dirichlet[-1, :] = True
     return region, eps, dirichlet, np.where(on_trace, 1.0, 0.0)
 
 
@@ -215,16 +229,15 @@ def _classify_by_coordinates(stack, x, y, full_domain):
     metal_nm=st.floats(20.0, 500.0),
     trench_um=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
     level=st.integers(1, 2),
-    full_domain=st.booleans(),
 )
 def test_index_masks_match_coordinate_classification(width_um, gap_um, metal_nm,
-                                                     trench_um, level, full_domain):
+                                                     trench_um, level):
     stack = build_stack({
         "trace_width": width_um * 1e-6, "gap": gap_um * 1e-6,
         "metal_thickness": metal_nm * 1e-9, "trench_depth": trench_um * 1e-6,
     })
-    mesh = build_mesh(stack, level, full_domain=full_domain)
-    expected = _classify_by_coordinates(stack, mesh.x, mesh.y, full_domain)
+    mesh = build_mesh(stack, level)
+    expected = _classify_by_coordinates(stack, mesh.x, mesh.y)
     for name, want in zip(("region", "eps", "dirichlet", "dirichlet_value"),
                           expected):
         got = getattr(mesh, name)
@@ -258,19 +271,28 @@ def test_mesh_without_dirichlet_node_raises_solve_error():
         solve_potential(mesh)
 
 
-def test_half_vs_full_domain_symmetry(ref_stack):
-    half = solve_potential(build_mesh(ref_stack, 1))
-    full = solve_potential(build_mesh(ref_stack, 1, full_domain=True))
-    assert full.total_energy == pytest.approx(half.total_energy, rel=1e-6)
+def test_mirror_plane_carries_zero_flux(ref_stack):
+    # the zero-flux plane x = 0 must act as a mirror: solving the mirrored
+    # mesh (both halves meshed) gives the half-domain potential on x >= 0
+    half_mesh = build_mesh(ref_stack, 1)
+    shift = len(half_mesh.x) - 1
+    lines = dict(half_mesh.lines)
+    for key in ("axis", "trace_edge", "ground_edge"):
+        lines[key] += shift
+    cells = (np.concatenate([a[::-1], a]) for a in (half_mesh.eps, half_mesh.region))
+    nodes = (np.concatenate([a[::-1], a[1:]])
+             for a in (half_mesh.dirichlet, half_mesh.dirichlet_value))
+    mirrored = Mesh(np.concatenate([-half_mesh.x[::-1], half_mesh.x[1:]]),
+                    half_mesh.y, *cells, *nodes, lines=lines)
+    assert mirrored.x[lines["axis"]] == 0.0
+
+    half = solve_potential(half_mesh)
+    full = solve_potential(mirrored)
+    np.testing.assert_allclose(full.phi[shift:], half.phi, rtol=0, atol=1e-12)
+    # the mirrored mesh counts as the half of a cross section twice as wide
     for region in (RegionId.Substrate, RegionId.Air):
         assert full.region_energy[region] == pytest.approx(
-            half.region_energy[region], rel=1e-6)
-    # the thin layers too: contours sampled on x >= 0 count both halves
-    half_budget = simulate_budget(ref_stack, solution=half)
-    full_budget = simulate_budget(ref_stack, solution=full)
-    for entry in half_budget.entries:
-        assert full_budget.entry(entry.region).participation == pytest.approx(
-            entry.participation, rel=1e-6)
+            2 * half.region_energy[region], rel=1e-12)
 
 
 def test_voltage_scaling_squares_energy(ref_stack):

@@ -18,12 +18,11 @@ def test_parse_length_units():
 
 
 def test_parse_length_rejects_garbage():
-    with pytest.raises(ConfigError):
-        parse_length("ten microns")
-    with pytest.raises(ConfigError):
-        parse_length(None)
-    with pytest.raises(ConfigError):
-        parse_length("um")
+    # an unknown or miscased unit is an error, never a length in meters
+    for value in ("ten microns", None, "um", "10 cm", "10 UM", "10 furlongs",
+                  "10 m m", "10 um um", "nan", "inf m"):
+        with pytest.raises(ConfigError):
+            parse_length(value)
 
 
 def test_default_stack_matches_400c_reference():
@@ -82,6 +81,11 @@ def test_zero_lengths_rejected():
         build_stack({"trace_width": 0.0})
     with pytest.raises(ConfigError):
         build_stack({"metal_thickness": 0.0})
+    # NaN and +-inf are rejected with the name of the field
+    for key in ("trace_width", "domain_halfwidth", "trench_depth", "layer_SA"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=key):
+                build_stack({key: value})
 
 
 def test_permittivity_below_one_rejected():
@@ -89,6 +93,14 @@ def test_permittivity_below_one_rejected():
         MaterialConstants("bad", 0.5, 0.0)
     with pytest.raises(ConfigError):
         MaterialConstants("bad", 2.0, -1e-3)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="relative_permittivity"):
+            MaterialConstants("bad", value, 0.0)
+        with pytest.raises(ConfigError, match="loss_tangent"):
+            MaterialConstants("bad", 2.0, value)
+        with pytest.raises(ConfigError, match="loss_tangent"):
+            build_stack({"materials": {"SA_oxide": {"relative_permittivity": 3.9,
+                                                    "loss_tangent": value}}})
 
 
 def test_air_must_stay_vacuum_like():
@@ -147,6 +159,6 @@ def test_stack_is_immutable():
 
 
 def test_ma_scale_bounds():
-    for scale in (0.0, -0.5, 1.2, 1.5):
+    for scale in (0.0, -0.5, 1.2, 1.5, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             CpwStack(ma_scale=scale)
