@@ -99,7 +99,8 @@ def cmd_simulate(args):
         "mesh_cells": mesh.n_cells,
         "solver": {"unknowns": solution.unknowns,
                    "factor_nnz": solution.factor_nnz,
-                   "residual": solution.residual},
+                   "residual": solution.residual,
+                   "stage_s": solution.stage_s},
         "capacitance_per_length_f_per_m": solution.capacitance_per_length,
         "budget": _budget_record(budget),
         "shares_percent": participation.budget_shares(budget),

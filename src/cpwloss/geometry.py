@@ -35,12 +35,23 @@ _LENGTH_PATTERN = re.compile(
 
 def parse_length(value) -> float:
     """Parse a length given in meters or as a string with a unit suffix."""
-    if isinstance(value, (int, float)):
+    # bool is an int, but a YAML `yes` is no length
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     match = _LENGTH_PATTERN.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise ConfigError(f"cannot parse length {value!r}")
     return float(match[1]) * _UNIT_SCALE[match[2] or "m"]
+
+
+def _number(value, name) -> float:
+    """A config value as a float (a numeric string too, never a bool)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 class RegionId(enum.Enum):
@@ -179,21 +190,33 @@ def build_stack(config: dict | None = None, **overrides) -> CpwStack:
     kwargs = {}
     for key, value in cfg.items():
         if key in _LENGTH_KEYS:
-            kwargs[key] = parse_length(value)
+            try:
+                kwargs[key] = parse_length(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         elif key == "materials":
+            if not isinstance(value, dict):
+                raise ConfigError(f"materials must map region roles to "
+                                  f"materials, got {value!r}")
             mats = dict(DEFAULT_MATERIALS)
             for role, spec in value.items():
                 if isinstance(spec, MaterialConstants):
                     mats[role] = spec
-                else:
-                    mats[role] = MaterialConstants(
-                        name=spec.get("name", role),
-                        relative_permittivity=float(spec["relative_permittivity"]),
-                        loss_tangent=float(spec.get("loss_tangent", 0.0)),
-                    )
+                    continue
+                if not isinstance(spec, dict) or "relative_permittivity" not in spec:
+                    raise ConfigError(
+                        f"material {role!r} needs a relative_permittivity")
+                mats[role] = MaterialConstants(
+                    name=spec.get("name", role),
+                    relative_permittivity=_number(
+                        spec["relative_permittivity"],
+                        f"material {role!r} relative_permittivity"),
+                    loss_tangent=_number(spec.get("loss_tangent", 0.0),
+                                         f"material {role!r} loss_tangent"),
+                )
             kwargs["materials"] = mats
         elif key == "ma_scale":
-            kwargs[key] = float(value)
+            kwargs[key] = _number(value, key)
         else:
             raise ConfigError(f"unknown stack parameter {key!r}")
     return CpwStack(**kwargs)

@@ -54,9 +54,12 @@ def test_simulate_preset(tmp_path, capsys):
         "tool_version", "provenance", "refinement_level", "config",
         "mesh_cells", "solver", "capacitance_per_length_f_per_m", "budget",
         "shares_percent"}
-    assert set(record["solver"]) == {"unknowns", "factor_nnz", "residual"}
+    assert set(record["solver"]) == {"unknowns", "factor_nnz", "residual",
+                                     "stage_s"}
     assert 0 < record["solver"]["unknowns"] < record["solver"]["factor_nnz"]
     assert record["solver"]["residual"] <= 1e-8
+    assert set(record["solver"]["stage_s"]) == {"assemble", "factor", "solve"}
+    assert all(t >= 0 for t in record["solver"]["stage_s"].values())
     assert set(record["config"]) == {
         "trace_width", "gap", "metal_thickness", "substrate_thickness",
         "trench_depth", "layer_MA_top", "layer_MA_side", "layer_SA",
@@ -84,10 +87,29 @@ def test_simulate_config_file_and_env(tmp_path, monkeypatch, capsys):
 
 def test_simulate_bad_config(tmp_path):
     cfg = tmp_path / "bad.yaml"
-    for text in ("gap: -1 um\n", "trace_width: 10 cm\n", "trench_depth: .nan\n"):
+    for text in ("gap: -1 um\n", "trace_width: 10 cm\n", "trench_depth: .nan\n",
+                 "trace_width: yes\n"):
         cfg.write_text(text)
         assert run(["simulate", "--config", str(cfg)]) == 1
     assert run(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 1
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("materials:\n  SA_oxide:\n    loss_tangent: 1.0e-3\n",
+     "relative_permittivity"),
+    ("ma_scale: abc\n", "ma_scale"),
+    ("materials:\n  substrate:\n    relative_permittivity: abc\n",
+     "relative_permittivity"),
+    ("materials: 3\n", "materials"),
+], ids=["missing-permittivity", "non-numeric-ma-scale",
+        "non-numeric-permittivity", "materials-not-mapping"])
+def test_simulate_malformed_config_is_input_error(tmp_path, capsys, text,
+                                                  expected):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert run(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and expected in err
 
 
 def test_simulate_dump_fields(tmp_path):

@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import epsilon_0
+from scipy.sparse.linalg import spsolve
 
+import cpwloss
 from cpwloss import (
     RegionId, build_mesh, build_stack, simulate_budget, solve_potential,
 )
 from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
-    CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, boundary_fields, dump_fields_csv,
+    CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, _assemble, _cell_energy,
+    boundary_fields, dump_fields_csv, solve_with_meshed_sa_layer,
 )
 
 
@@ -168,6 +177,75 @@ def test_solver_matches_frozen_l2_budget(ref_solution_l2, ref_stack):
     for region, value in frozen.items():
         assert budget.entry(region).participation == pytest.approx(value, rel=1e-9)
     assert budget.total == pytest.approx(8.668338567930862e-07, rel=1e-9)
+
+
+def _reference_solve(mesh):
+    """Potential and per-cell energy from spsolve of the same reduced system:
+    SuperLU with scipy's default ordering and factor settings."""
+    free = ~mesh.dirichlet.ravel()
+    phi = np.where(free, 0.0, mesh.dirichlet_value.ravel())
+    hx, hy = np.diff(mesh.x), np.diff(mesh.y)
+    A, b = _assemble(mesh.eps, hx, hy, free, phi)
+    phi[free] = spsolve(A, b)
+    phi = phi.reshape(mesh.dirichlet.shape)
+    # cell fields: differences along each axis, averaged over the cell's two edges
+    ex = -(np.diff(phi[:, :-1], axis=0) + np.diff(phi[:, 1:], axis=0)) \
+        / (2 * hx[:, None])
+    ey = -(np.diff(phi[:-1], axis=1) + np.diff(phi[1:], axis=1)) / (2 * hy)
+    return phi, _cell_energy(mesh, ex, ey)
+
+
+def _check_against_reference(solution):
+    mesh = solution.mesh
+    phi, u_cell = _reference_solve(mesh)
+    # the electrode is at 1 V, so an absolute bound is relative to it
+    np.testing.assert_allclose(solution.phi, phi, rtol=0, atol=1e-10)
+    for region, code in ((RegionId.Substrate, CELL_SUBSTRATE),
+                         (RegionId.Air, CELL_AIR)):
+        assert solution.region_energy[region] == pytest.approx(
+            u_cell[mesh.region == code].sum(), rel=1e-10)
+    return u_cell
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("trench", [0.0, 2e-6], ids=["flat", "trench"])
+def test_solver_matches_independent_spsolve(ref_stack, level, trench):
+    stack = replace(ref_stack, trench_depth=trench)
+    _check_against_reference(solve_potential(build_mesh(stack, level)))
+
+
+def test_meshed_sa_layer_matches_independent_spsolve(ref_stack):
+    solution, fraction = solve_with_meshed_sa_layer(ref_stack, 3.9, 2.5e-9, 2)
+    u_cell = _check_against_reference(solution)
+    in_layer = solution.mesh.eps == 3.9
+    assert fraction == pytest.approx(
+        u_cell[in_layer].sum() / u_cell.sum(), rel=1e-10)
+
+
+# solves each case five times in one interpreter; SuperLU settings with
+# relax > panel_size (relax 40 with panel 20) have crashed such a process
+# or aborted it at exit with a corrupted heap
+HEAP_PROBE = """
+from dataclasses import replace
+import cpwloss
+stack = cpwloss.reference_presets("400C")
+for level in (1, 2):
+    for trench in (0.0, 2e-6):
+        mesh = cpwloss.build_mesh(replace(stack, trench_depth=trench), level)
+        for _ in range(5):
+            cpwloss.solve_potential(mesh)
+"""
+
+
+def test_repeated_solves_exit_cleanly(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cpwloss.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @settings(max_examples=8, deadline=None)

@@ -25,6 +25,15 @@ def test_parse_length_rejects_garbage():
             parse_length(value)
 
 
+def test_parse_length_rejects_bool():
+    # bool is an int in Python; a YAML `yes` must not read as 1 m
+    for value in (True, False):
+        with pytest.raises(ConfigError):
+            parse_length(value)
+        with pytest.raises(ConfigError, match="trace_width"):
+            build_stack({"trace_width": value})
+
+
 def test_default_stack_matches_400c_reference():
     default = build_stack({})
     preset = reference_presets("400C", "reference")
@@ -101,6 +110,21 @@ def test_permittivity_below_one_rejected():
         with pytest.raises(ConfigError, match="loss_tangent"):
             build_stack({"materials": {"SA_oxide": {"relative_permittivity": 3.9,
                                                     "loss_tangent": value}}})
+
+
+@pytest.mark.parametrize("config,field", [
+    ({"materials": {"SA_oxide": {"loss_tangent": 1e-3}}},
+     "'SA_oxide' needs a relative_permittivity"),
+    ({"ma_scale": "abc"}, "ma_scale must be a number"),
+    ({"materials": {"substrate": {"relative_permittivity": "abc"}}},
+     "'substrate' relative_permittivity must be a number"),
+    ({"materials": 3}, "materials must map"),
+], ids=["missing-permittivity", "non-numeric-ma-scale",
+        "non-numeric-permittivity", "materials-not-mapping"])
+def test_malformed_config_is_config_error(config, field):
+    # never a KeyError, ValueError or AttributeError with a traceback
+    with pytest.raises(ConfigError, match=field):
+        build_stack(config)
 
 
 def test_air_must_stay_vacuum_like():
