@@ -12,7 +12,7 @@ from .geometry import (  # noqa: F401
     reference_presets, save_stack,
 )
 from .fieldsolve import (  # noqa: F401
-    FieldSolution, Mesh, boundary_fields, build_mesh, solve_potential,
+    FieldSolution, Mesh, build_mesh, solve_potential,
 )
 from .participation import (  # noqa: F401
     ParticipationBudget, budget_shares, bulk_participation,

@@ -136,8 +136,8 @@ def cmd_budget(args):
         raise ConfigError("budget requires --input or --entry")
     try:
         budget = participation.loss_budget(participations, tangents)
-    except ConfigError as exc:  # only an --input file can hold no entries
-        raise ConfigError(f"{args.input}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{args.input or '--entry'}: {exc}") from None
     print(participation.format_budget_table(budget))
     if args.output:
         _json_dump(_budget_record(budget), args.output)
@@ -273,6 +273,7 @@ def _parse_kv(spec, aliases):
 def cmd_synth(args):
     if (args.tls is None) == (args.s21 is None):
         raise ConfigError("synth requires exactly one of --tls or --s21")
+    points = {} if args.points is None else {"n_points": args.points}
     if args.tls is not None:
         params = _parse_kv(args.tls, {
             "F": "f_tan_delta0", "nc": "n_c", "other": "delta_other",
@@ -290,7 +291,7 @@ def cmd_synth(args):
             f_tan_delta0=params.pop("f_tan_delta0"),
             n_c=params.pop("n_c"), b=params.pop("b"),
             delta_other=params.pop("delta_other"),
-            noise_frac=args.noise, seed=args.seed, n_points=args.points,
+            noise_frac=args.noise, seed=args.seed, **points,
         )
         kwargs.update(params)  # optional f_r, temperature, n_min, n_max
         sweep = tlsfit.synth_sweep(**kwargs)
@@ -311,7 +312,7 @@ def cmd_synth(args):
             q_c_mag=params.pop("q_c_mag"),
             phi=params.pop("phi", 0.0), a=params.pop("a", 1.0),
             alpha=params.pop("alpha", 0.0), tau=params.pop("tau", 0.0),
-            n_points=args.points, snr_db=args.snr_db, seed=args.seed,
+            snr_db=args.snr_db, seed=args.seed, **points,
         )
         if params:
             raise ConfigError(f"unknown --s21 parameters: {sorted(params)}")
@@ -462,8 +463,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if getattr(args, "command", None) == "synth" and args.points is None:
-        args.points = 30 if args.tls else 1001
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:

@@ -23,9 +23,9 @@ settings (measured on a 2-core Xeon, one BLAS thread); the potential moves by
 at most 3e-12 V at levels 1-4. Keep relax <= panel_size: relaxed supernodes
 wider than a panel (relax 40 with panel 20) have crashed the interpreter.
 
-Thin interface oxides are never meshed (nm layers in a mm domain); they are
-handled by boundary post-processing in the participation module, which
-consumes the air-side boundary fields sampled here.
+Thin interface oxides are never meshed (nm layers in a mm domain): the
+participation module integrates them along the grid lines in `Mesh.lines`,
+from the potential solved here.
 """
 
 from __future__ import annotations
@@ -259,8 +259,10 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     if not np.all(np.isfinite(phi_free)):
         raise SolveError("linear solve produced non-finite potential")
     # the full system's Dirichlet rows have zero residual, so this equals its
-    # residual relative to the Dirichlet data
-    res = np.linalg.norm(A @ phi_free - b) / max(np.linalg.norm(phi[dirichlet]), 1e-300)
+    # residual relative to the Dirichlet data. The norms are numpy reductions,
+    # not BLAS dots, which would spread over every core unless pinned.
+    r, d = A @ phi_free - b, phi[dirichlet]
+    res = np.sqrt(np.sum(r * r)) / max(np.sqrt(np.sum(d * d)), 1e-300)
     if res > RESIDUAL_RTOL:
         raise SolveError(f"linear solve did not converge: relative residual "
                          f"{res:.3e} > {RESIDUAL_RTOL:.1e}")
@@ -282,93 +284,6 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
         voltage=voltage, residual=res,
         unknowns=n_free, factor_nnz=int(lu.nnz), stage_s=stage_s,
     )
-
-
-@dataclass
-class BoundarySamples:
-    """Air-side field samples along an interface contour (x >= 0)."""
-
-    region: RegionId
-    x: np.ndarray
-    y: np.ndarray
-    dl: np.ndarray  # arc-length weight per sample
-    e_par: np.ndarray  # tangential field, V/m
-    e_norm: np.ndarray  # normal field on the air side, V/m
-
-
-def _one_sided(phi0, phi1, phi2, h1, h2):
-    """Second-order one-sided derivative at the surface node."""
-    c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
-    c1 = (h1 + h2) / (h1 * h2)
-    c2 = -h1 / (h2 * (h1 + h2))
-    return c0 * phi0 + c1 * phi1 + c2 * phi2
-
-
-def _trap_weights(coords, i0, i1):
-    """Trapezoid weights for nodes i0..i1 inclusive along `coords`."""
-    c = coords[i0 : i1 + 1]
-    w = np.empty(len(c))
-    w[1:-1] = (c[2:] - c[:-2]) / 2
-    w[0] = (c[1] - c[0]) / 2
-    w[-1] = (c[-1] - c[-2]) / 2
-    return w
-
-
-def _contour(phi, along, across, k, a, b, step, tangential):
-    """Samples on grid line across[k], nodes a..b along `along`.
-
-    phi is indexed [along, across] (pass phi.T for a line of constant x); the
-    air side lies towards k + step. Returns (along coordinates, across
-    coordinates, dl, e_par, e_norm).
-    """
-    s = slice(a, b + 1)
-    h1 = abs(across[k + step] - across[k])
-    h2 = abs(across[k + 2 * step] - across[k + step])
-    e_norm = -step * _one_sided(phi[s, k], phi[s, k + step], phi[s, k + 2 * step],
-                                h1, h2)
-    if tangential:
-        e_par = -(phi[a + 1:b + 2, k] - phi[a - 1:b, k]) \
-            / (along[a + 1:b + 2] - along[a - 1:b])
-    else:  # E_par vanishes on a conductor surface
-        e_par = np.zeros(b - a + 1)
-    return (along[s], np.full(b - a + 1, across[k]), _trap_weights(along, a, b),
-            e_par, e_norm)
-
-
-def boundary_fields(solution: FieldSolution, region: RegionId) -> BoundarySamples:
-    """Sample (E_par, E_norm) on the air side of an interface contour.
-
-    Samples cover the meshed half x >= 0 only, so contour integrals are
-    twice the sampled ones.
-    """
-    x, y, lines = solution.mesh.x, solution.mesh.y, solution.mesh.lines
-    if not lines:
-        raise MeshError("boundary_fields requires a mesh built by build_mesh")
-    i0, iw, ig = lines["axis"], lines["trace_edge"], lines["ground_edge"]
-    j0, jt, jd = lines["surface"], lines["metal_top"], lines.get("trench_floor")
-    # (vertical, line, first node, last node, step towards the air)
-    if region == RegionId.MetalAirTop:
-        segments = [(False, jt, i0, iw, 1), (False, jt, ig, len(x) - 3, 1)]
-    elif region == RegionId.MetalAirSide:
-        segments = [(True, iw, j0, jt, 1), (True, ig, j0, jt, -1)]
-    elif region == RegionId.SubstrateAir and jd is not None:
-        segments = [(True, iw, jd + 1, j0 - 1, 1), (False, jd, iw + 1, ig - 1, 1),
-                    (True, ig, jd + 1, j0 - 1, -1)]
-    elif region == RegionId.SubstrateAir:
-        segments = [(False, j0, iw + 1, ig - 1, 1)]
-    else:
-        raise MeshError(f"{region} is not an interface region")
-
-    tangential = region == RegionId.SubstrateAir
-    phi = solution.phi
-    parts = []
-    for vertical, k, a, b, step in segments:
-        grid = (phi.T, y, x) if vertical else (phi, x, y)
-        along, across, *rest = _contour(*grid, k, a, b, step, tangential)
-        parts.append((across, along, *rest) if vertical else (along, across, *rest))
-    xs, ys, dl, e_par, e_norm = (np.concatenate(c) for c in zip(*parts))
-    return BoundarySamples(region=region, x=xs, y=ys, dl=dl, e_par=e_par,
-                           e_norm=e_norm)
 
 
 def dump_fields_csv(solution: FieldSolution, path):

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolveError
-from .fieldsolve import (
-    FieldSolution, boundary_fields, build_mesh, epsilon_0, solve_potential,
-)
+from .errors import ConfigError, MeshError, SolveError
+from .fieldsolve import FieldSolution, build_mesh, epsilon_0, solve_potential
 from .geometry import CpwStack, RegionId
 
 # Canonical budget row order, matching the per-chip loss tables.
@@ -74,28 +72,26 @@ def bulk_participation(solution: FieldSolution, region: RegionId) -> float:
     return solution.region_energy[region] / solution.total_energy
 
 
-def _convex_corners(mesh):
-    """Convex metal corners, where the sharp-corner field diverges."""
-    lines = mesh.lines
-    rows = [lines[k] for k in ("surface", "metal_top", "trench_floor") if k in lines]
-    return [(mesh.x[i], mesh.y[j]) for j in rows
-            for i in (lines["trace_edge"], lines["ground_edge"])]
-
-
 def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
-                             thickness: float, eps_layer: float,
-                             corner_cutoff: float | None = None) -> float:
+                             thickness: float, eps_layer: float) -> float:
     """Participation of an unmeshed thin layer along an interface contour.
+
+    The contour runs along the conductor grid lines recorded in `Mesh.lines`,
+    over the meshed half x >= 0, and its integral counts the mirror image.
+    At each grid node on it the air-side fields are sampled: E_norm by a
+    second-order one-sided difference into the air, E_par by a central
+    difference along the line (zero on metal); trapezoid weights give the
+    arc length per node.
 
     The surface integral of |E|^2 diverges at the conductor corners
     (logarithmically where metal meets substrate); the sharp-corner field is
     an idealization that the finite oxide thickness rounds off. Contour
-    intervals within `corner_cutoff` of a convex metal corner are therefore
-    excluded. The default cutoff of a quarter layer thickness is a
-    convention that keeps the integral mesh-convergent; it is not calibrated
-    at the physical thickness. On the 400C preset the directly meshed 2.5 nm
-    gap oxide (solve_with_meshed_sa_layer) gives p_SA 4.375e-4 at level 2
-    and 4.367e-4 at level 3, where this rule gives 3.568e-4 and 3.808e-4
+    intervals within a quarter layer thickness, t/4, of a convex metal
+    corner are therefore excluded. That fixed cutoff is a convention that
+    keeps the integral mesh-convergent; it is not calibrated at the physical
+    thickness. On the 400C preset the directly meshed 2.5 nm gap oxide
+    (solve_with_meshed_sa_layer) gives p_SA 4.375e-4 at level 2 and
+    4.367e-4 at level 3, where this rule gives 3.568e-4 and 3.808e-4
     (direct 23% and 15% higher); see ROADMAP item 2.
     """
     if thickness < 0:
@@ -104,22 +100,55 @@ def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
         return 0.0
     if eps_layer < 1:
         raise ConfigError(f"layer permittivity must be >= 1, got {eps_layer}")
-    if corner_cutoff is None:
-        corner_cutoff = thickness / 4.0
-    bs = boundary_fields(solution, layer_region)
-    frac = np.ones(len(bs.dl))
-    if corner_cutoff > 0:
-        for cx, cy in _convex_corners(solution.mesh):
-            d = np.hypot(bs.x - cx, bs.y - cy)
-            # fraction of each sample interval outside the cutoff zone
-            frac = np.minimum(
-                frac, np.clip((d - corner_cutoff) / bs.dl + 0.5, 0.0, 1.0)
-            )
-    u = 0.5 * epsilon_0 * thickness * (
-        eps_layer * bs.e_par**2 + bs.e_norm**2 / eps_layer
-    )
+    x, y, lines = solution.mesh.x, solution.mesh.y, solution.mesh.lines
+    if not lines:
+        raise MeshError("thin-layer participation needs the grid lines of a "
+                        "mesh built by build_mesh")
+    i0, iw, ig = lines["axis"], lines["trace_edge"], lines["ground_edge"]
+    j0, jt, jd = lines["surface"], lines["metal_top"], lines.get("trench_floor")
+    # (vertical, grid line, first node, last node, step towards the air)
+    if layer_region == RegionId.MetalAirTop:
+        segments = [(False, jt, i0, iw, 1), (False, jt, ig, len(x) - 3, 1)]
+    elif layer_region == RegionId.MetalAirSide:
+        segments = [(True, iw, j0, jt, 1), (True, ig, j0, jt, -1)]
+    elif layer_region == RegionId.SubstrateAir and jd is not None:
+        segments = [(True, iw, jd + 1, j0 - 1, 1), (False, jd, iw + 1, ig - 1, 1),
+                    (True, ig, jd + 1, j0 - 1, -1)]
+    elif layer_region == RegionId.SubstrateAir:
+        segments = [(False, j0, iw + 1, ig - 1, 1)]
+    else:
+        raise MeshError(f"{layer_region} is not an interface region")
+
+    parts = []
+    for vertical, k, a, b, step in segments:
+        # p is indexed [along, across]; the air side lies towards k + step
+        p, s, n = (solution.phi.T, y, x) if vertical else (solution.phi, x, y)
+        h1, h2 = abs(n[k + step] - n[k]), abs(n[k + 2 * step] - n[k + step])
+        c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
+        c1 = (h1 + h2) / (h1 * h2)
+        c2 = -h1 / (h2 * (h1 + h2))
+        e_norm = -step * (c0 * p[a:b + 1, k] + c1 * p[a:b + 1, k + step]
+                          + c2 * p[a:b + 1, k + 2 * step])
+        if layer_region == RegionId.SubstrateAir:
+            e_par = -(p[a + 1:b + 2, k] - p[a - 1:b, k]) / (s[a + 1:b + 2] - s[a - 1:b])
+        else:  # E_par vanishes on a conductor surface
+            e_par = np.zeros(b - a + 1)
+        c = np.concatenate(([s[a]], s[a:b + 1], [s[b]]))  # ends repeated
+        along, across = s[a:b + 1], np.full(b - a + 1, n[k])
+        parts.append(((across, along) if vertical else (along, across))
+                     + ((c[2:] - c[:-2]) / 2, e_par, e_norm))
+    xs, ys, dl, e_par, e_norm = map(np.concatenate, zip(*parts))
+
+    # distance of each sample to the nearest convex corner, then the fraction
+    # of its interval outside the t/4 zone round that corner
+    d = np.full(len(dl), np.inf)
+    for j in (j0, jt) if jd is None else (j0, jt, jd):
+        for i in (iw, ig):
+            d = np.minimum(d, np.hypot(xs - x[i], ys - y[j]))
+    frac = np.clip((d - thickness / 4.0) / dl + 0.5, 0.0, 1.0)
+    u = 0.5 * epsilon_0 * thickness * (eps_layer * e_par**2 + e_norm**2 / eps_layer)
     # the samples cover x >= 0 of a mirror-symmetric cross section
-    energy = 2.0 * float(np.sum(u * frac * bs.dl))
+    energy = 2.0 * float(np.sum(u * frac * dl))
     return energy / solution.total_energy
 
 
@@ -137,7 +166,10 @@ def loss_budget(participations, loss_tangents, label: str = "",
                 loss_tangents[region] = 0.0
             else:
                 raise ConfigError(f"missing loss tangent for region {region!r}")
-        entries.append(BudgetEntry(region, float(p), float(loss_tangents[region])))
+        p, tan = float(p), float(loss_tangents[region])
+        if not np.isfinite([p, tan]).all():
+            raise ConfigError(f"non-finite participation or loss tangent for {region!r}")
+        entries.append(BudgetEntry(region, p, tan))
     order = {r: k for k, r in enumerate(ROW_ORDER)}
     entries.sort(key=lambda e: order.get(e.region, len(order)))
     return ParticipationBudget(tuple(entries), label=label, notes=tuple(notes))

@@ -46,6 +46,9 @@ class PhotonSweep:
         self.q_i_sigma = np.asarray(self.q_i_sigma, dtype=float)
         if not (len(self.n_photon) == len(self.q_i) == len(self.q_i_sigma)):
             raise ConfigError("sweep arrays have mismatched lengths")
+        for name in ("n_photon", "q_i", "f_r", "temperature"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite")
         if np.any(self.n_photon <= 0):
             raise ConfigError("photon numbers must be strictly positive")
         if np.any(self.q_i <= 0):

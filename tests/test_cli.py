@@ -153,6 +153,49 @@ def test_budget_requires_input():
     assert run(["budget", "--entry", "substrate=0.9"]) == 1
 
 
+@pytest.mark.parametrize("entry", ["substrate:nan:1.3e-7", "substrate:0.911:inf"])
+def test_budget_non_finite_entry_is_input_error(entry, capsys):
+    assert run(["budget", "--entry", entry, "--entry", "metal_air:1e-5:1e-2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'substrate'" in err
+
+
+def test_budget_non_finite_input_is_input_error(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text('[{"region": "substrate", "participation": NaN, '
+                   '"loss_tangent": 1.3e-7}]')
+    assert run(["budget", "--input", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}:") and "'substrate'" in err
+
+
+@pytest.mark.parametrize("field, line", [
+    ("n_photon", "nan,1e6,1e4"), ("q_i", "1.0,nan,1e4"), ("temperature", "# temp_k=nan"),
+])
+def test_fit_tls_non_finite_sweep_is_input_error(tmp_path, capsys, field, line):
+    sweep = tmp_path / "sweep.csv"
+    assert run(["synth", "--tls", "F=1e-6,nc=10,b=0.4,other=5e-8",
+                "--seed", "7", "--output", str(sweep)]) == 0
+    # a later `# temp_k=` line overrides the first
+    sweep.write_text(sweep.read_text() + line + "\n")
+    capsys.readouterr()
+    assert run(["fit-tls", str(sweep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def test_synth_points_default(tmp_path):
+    # without --points, synth writes as many points as synth_sweep and
+    # synth_trace make by default
+    for kind, spec, n in (("--tls", "F=1e-6,nc=10,b=0.4,other=5e-8", 30),
+                          ("--s21", "fr=6e9,ql=5e5,qc=1e6", 1001)):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["synth", kind, spec, "--seed", "3", "--output", str(a)]) == 0
+        assert run(["synth", kind, spec, "--seed", "3", "--points", str(n),
+                    "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_synth_fit_tls_round_trip(tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
     assert run(["synth", "--tls", "F=1e-6,nc=10,b=0.4,other=5e-8",

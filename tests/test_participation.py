@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpwloss import (
     RegionId, budget_shares, build_mesh, build_stack,
     bulk_participation, loss_budget, simulate_budget, solve_potential,
     thin_layer_participation,
 )
-from cpwloss.errors import ConfigError, SolveError
+from cpwloss.errors import ConfigError, MeshError, SolveError
 from cpwloss.fieldsolve import solve_with_meshed_sa_layer
 from cpwloss.participation import format_budget_table
 
@@ -55,6 +58,15 @@ def test_budget_missing_tangent():
     # air defaults to lossless
     budget = loss_budget({"air": 0.1}, {})
     assert budget.total == 0.0
+
+
+@pytest.mark.parametrize("p, tan", [
+    (np.nan, 1.3e-7), (0.911, np.nan), (np.inf, 1.3e-7), (0.911, -np.inf),
+])
+def test_budget_rejects_non_finite(p, tan):
+    with pytest.raises(ConfigError, match="'substrate'"):
+        loss_budget({"substrate": p, "metal_air": 1.87e-5},
+                    {"substrate": tan, "metal_air": 1e-2})
 
 
 def test_budget_shares_reference():
@@ -132,15 +144,35 @@ def test_thin_layer_zero_thickness(ref_solution_l2):
                                  -1e-9, 3.9)
 
 
-def test_thin_layer_linear_in_thickness(ref_solution_l2):
-    # with a fixed corner cutoff the rule is exactly linear in t
-    ps = [
-        thin_layer_participation(ref_solution_l2, RegionId.SubstrateAir,
-                                 t, 3.9, corner_cutoff=1e-9)
-        for t in (1e-9, 5e-9, 10e-9)
-    ]
-    assert ps[1] == pytest.approx(5 * ps[0], rel=1e-12)
-    assert ps[2] == pytest.approx(10 * ps[0], rel=1e-12)
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(0.5e-9, 10e-9), eps=st.floats(1.0, 5.0),
+       r1=st.floats(1.5, 3.0), r2=st.floats(1.5, 3.0))
+def test_thin_layer_permittivity_scaling(ref_solution_l2, t, eps, r1, r2):
+    # the layer energy is t (eps E_par^2 + E_norm^2 / eps) / 2 at a cutoff
+    # fixed by t: on metal (E_par = 0) p ~ 1/eps exactly, and on the gap
+    # floor eps * p is linear in eps^2
+    def p(region, e):
+        return thin_layer_participation(ref_solution_l2, region, t, e)
+
+    for region in (RegionId.MetalAirTop, RegionId.MetalAirSide):
+        assert p(region, 2 * eps) == pytest.approx(p(region, eps) / 2, rel=1e-12)
+    e = np.array([eps, eps * r1, eps * r1 * r2])
+    y = e * np.array([p(RegionId.SubstrateAir, v) for v in e])
+    x = e**2
+    assert y[2] == pytest.approx(y[0] + (y[1] - y[0]) * (x[2] - x[0]) / (x[1] - x[0]),
+                                 rel=1e-12)
+
+
+def test_thin_layer_rejects_bulk_region(ref_solution_l2):
+    with pytest.raises(MeshError, match="is not an interface region"):
+        thin_layer_participation(ref_solution_l2, RegionId.Substrate, 2.5e-9, 3.9)
+
+
+def test_thin_layer_needs_mesh_lines(ref_solution_l2):
+    # a mesh not built by build_mesh records no conductor grid lines
+    sol = replace(ref_solution_l2, mesh=replace(ref_solution_l2.mesh, lines={}))
+    with pytest.raises(MeshError, match="build_mesh"):
+        thin_layer_participation(sol, RegionId.SubstrateAir, 2.5e-9, 3.9)
 
 
 def test_voltage_scale_invariance(ref_stack):

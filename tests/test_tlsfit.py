@@ -152,6 +152,26 @@ def test_sweep_validation():
                     q_i_sigma=[0, 0], f_r=6e9, temperature=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_photon", [1.0, np.nan]), ("n_photon", [1.0, np.inf]), ("q_i", [1e6, np.nan]),
+    ("f_r", np.nan), ("temperature", np.nan), ("temperature", np.inf),
+])
+def test_sweep_rejects_non_finite(field, value):
+    kwargs = dict(n_photon=[1.0, 2.0], q_i=[1e6, 1e6], q_i_sigma=[0, 0],
+                  f_r=6e9, temperature=0.01)
+    kwargs[field] = value
+    with pytest.raises(ConfigError, match=field):
+        PhotonSweep(**kwargs)
+
+
+def test_sweep_accepts_nan_sigma():
+    # a singular S21 covariance gives q_i_err = NaN; that sweep is fitted
+    # unweighted rather than rejected
+    sweep = PhotonSweep(n_photon=[1.0, 2.0], q_i=[1e6, 1e6], q_i_sigma=[np.nan, 0],
+                        f_r=6e9, temperature=0.01)
+    assert np.isnan(sweep.q_i_sigma[0])
+
+
 def test_sweep_io_round_trip(tmp_path):
     sweep = synth_sweep(**TRUE, noise_frac=0.02, seed=5, chip="400C-ref",
                         resonator="R3")
