@@ -6,10 +6,17 @@ Model:
              * [1 - (Q_l / |Q_c|) * exp(i*phi) / (1 + 2i*Q_l*(f/f_r - 1))]
 
 Fit pipeline: slope delay and circle fit as start values, then one complex
-least-squares fit (MINPACK Levenberg-Marquardt) over the seven model
-parameters; errors from its covariance (Probst et al., Rev. Sci. Instrum.
-86, 024706 (2015)). The diameter correction gives Q_c = |Q_c| / cos(phi),
-and 1/Q_i = 1/Q_l - 1/Q_c.
+least-squares fit over the seven model parameters; errors from its
+covariance (Probst et al., Rev. Sci. Instrum. 86, 024706 (2015)). The
+diameter correction gives Q_c = |Q_c| / cos(phi), and 1/Q_i = 1/Q_l - 1/Q_c.
+
+The fit is MINPACK's Levenberg-Marquardt `lmder` (More, LNM 630 (1978)),
+called through `scipy.optimize.leastsq` with every setting written out:
+ftol=1e-8, xtol=1e-15, gtol=1e-15, maxfev=700 (100 per parameter),
+factor=100 and diag=None (MINPACK scales each column by its norm, mode 1).
+They are written out because scipy's defaults are not stable: scipy 1.16
+changed the column scaling of `least_squares(method="lm")` (`x_scale` 1.0 ->
+"jac"), and no scipy version is pinned.
 """
 
 from __future__ import annotations
@@ -62,7 +69,10 @@ class ResonatorFit:
     # linearised error of the wrapped alpha: meaningful only well below ~1 rad
     alpha_err: float = 0.0
     tau_err: float = 0.0
+    alpha_c: float = 0.0  # environment phase at the span centre, rad
+    alpha_c_err: float = 0.0
     nfev: int = 0  # model evaluations of the least-squares fit
+    status: int = 0  # MINPACK info 1-4: the convergence test that ended the fit
     reduced_chi2: float = np.nan  # 2 * cost / dof of that fit
     label: str = ""
 
@@ -158,7 +168,7 @@ def _start_values(f, z, mag, depth):
 
 def fit_s21(trace: S21Trace) -> ResonatorFit:
     """Extract (f_r, Q_l, Q_c, Q_i) and environment parameters from a trace."""
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     f = trace.frequency
     z = trace.s21
@@ -182,7 +192,7 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     tau_unit = 1 / (2 * np.pi * (f[-1] - f[0]))
     x0 = [0.0, 1.0, 1.0, phi0, 1.0, alpha0 - 2 * np.pi * fc * tau0, 0.0]
 
-    memo = {}  # the last parameter vector's model parts, shared by resid and jac
+    memo = {}  # the last parameter vector's model parts and, once asked, Jacobian
 
     def parts(p):
         key = p.tobytes()
@@ -193,16 +203,19 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
             den = 1 + 2j * q_l * (f / f_r - 1)
             g = (q_l / q_c_mag) * np.exp(1j * p[3]) / den
             memo.clear()
-            memo[key] = env, g, den, f_r, q_l
+            memo[key] = {"model": (env, g, den, f_r, q_l)}
         return memo[key]
 
     def resid(p):
-        env, g, *_ = parts(p)
+        env, g, *_ = parts(p)["model"]
         d = env * (1 - g) - z
         return np.concatenate([d.real, d.imag])
 
     def jac(p):
-        env, g, den, f_r, q_l = parts(p)
+        cached = parts(p)
+        if "jac" in cached:  # leastsq asks twice at x0, the covariance once more
+            return cached["jac"]
+        env, g, den, f_r, q_l = cached["model"]
         eg = env * g
         model = env - eg
         cols = np.stack([
@@ -214,7 +227,8 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
             1j * model,  # alpha at fc
             -2j * np.pi * tau_unit * df * model,  # tau offset
         ], axis=1)
-        return np.concatenate([cols.real, cols.imag])
+        cached["jac"] = np.concatenate([cols.real, cols.imag])
+        return cached["jac"]
 
     # The problem has no bounds, so MINPACK's Levenberg-Marquardt (lmder)
     # solves it without trf's SVD of the Jacobian at every step. MINPACK
@@ -222,10 +236,14 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     # gradient test in effect off: on a clean trace the gradient vanishes
     # before the parameters settle. A looser xtol stops clean fits short of
     # the exact answer, so the fit ends on xtol=1e-15 or on the cost (ftol).
-    sol = least_squares(resid, x0, jac=jac, method="lm", gtol=1e-15, xtol=1e-15)
-    if not sol.success:
-        raise FitDivergedError(f"S21 fit did not converge: {sol.message}")
-    p = sol.x
+    # maxfev (100 per parameter), factor and diag are MINPACK's usual values,
+    # written out because scipy's defaults have moved (module docstring).
+    # full_output=True returns the status instead of warning on a failure.
+    p, _, info, msg, status = leastsq(
+        resid, x0, Dfun=jac, full_output=True, ftol=1e-8, xtol=1e-15,
+        gtol=1e-15, maxfev=700, factor=100.0, diag=None)
+    if status not in (1, 2, 3, 4):
+        raise FitDivergedError(f"S21 fit did not converge: {msg}")
     f_r, q_l, q_c_mag, a = f_r0 + p[0] * lw0, q_l0 * p[1], q_c0 * p[2], a0 * p[4]
     if q_l <= 0 or q_c_mag <= 0 or a <= 0 or not f[0] <= f_r <= f[-1]:
         raise FitDivergedError(
@@ -244,12 +262,14 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     q_i = 1.0 / inv_q_i
     tau = tau0 + p[6] * tau_unit
     alpha = float(np.angle(np.exp(1j * (p[5] + 2 * np.pi * fc * tau))))
+    alpha_c = float(np.angle(np.exp(1j * p[5])))
 
     # covariance of the fit, carried linearly to f_r, Q_l, Q_c, Q_i, alpha, tau
     dof = max(2 * len(f) - len(p), 1)
-    s_sq = 2 * sol.cost / dof
+    s_sq = np.dot(info["fvec"], info["fvec"]) / dof
+    j = jac(p)
     try:
-        cov = np.linalg.inv(sol.jac.T @ sol.jac) * s_sq
+        cov = np.linalg.inv(j.T @ j) * s_sq
     except np.linalg.LinAlgError:
         cov = np.full((len(p), len(p)), np.nan)
     d_f_r = np.array([lw0, 0, 0, 0, 0, 0, 0])
@@ -267,7 +287,9 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
         phi=phi, a=float(a), alpha=alpha, tau=float(tau),
         f_r_err=f_r_err, q_l_err=q_l_err, q_c_err=q_c_err, q_i_err=q_i_err,
         alpha_err=alpha_err, tau_err=tau_err,
-        nfev=int(sol.nfev), reduced_chi2=float(s_sq), label=trace.label,
+        alpha_c=alpha_c, alpha_c_err=float(np.sqrt(np.abs(cov[5, 5]))),
+        nfev=int(info["nfev"]), status=int(status), reduced_chi2=float(s_sq),
+        label=trace.label,
     )
 
 

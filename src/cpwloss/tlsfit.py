@@ -275,11 +275,14 @@ def read_sweep(path) -> PhotonSweep:
     if not rows:
         raise ConfigError(f"{path}: no n_photon,q_i,q_i_sigma rows")
     data = np.array(rows)
-    return PhotonSweep(
-        n_photon=data[:, 0], q_i=data[:, 1], q_i_sigma=data[:, 2],
-        f_r=meta["f_r_hz"], temperature=meta["temp_k"],
-        chip=meta.get("chip", ""), resonator=meta.get("resonator", ""),
-    )
+    try:
+        return PhotonSweep(
+            n_photon=data[:, 0], q_i=data[:, 1], q_i_sigma=data[:, 2],
+            f_r=meta["f_r_hz"], temperature=meta["temp_k"],
+            chip=meta.get("chip", ""), resonator=meta.get("resonator", ""),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_sweep(sweep: PhotonSweep, path):

@@ -184,6 +184,18 @@ def test_fit_tls_non_finite_sweep_is_input_error(tmp_path, capsys, field, line):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("line", ["nan,1e6,1e4", "-1,1e6,1e4"])
+def test_fit_tls_bad_sweep_names_file(tmp_path, capsys, line):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path in (a, b):
+        assert run(["synth", "--tls", "F=1e-6,nc=10,b=0.4,other=5e-8",
+                    "--seed", "7", "--output", str(path)]) == 0
+    b.write_text(b.read_text() + line + "\n")
+    capsys.readouterr()
+    assert run(["fit-tls", str(a), str(b)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {b}: ")
+
+
 def test_synth_points_default(tmp_path):
     # without --points, synth writes as many points as synth_sweep and
     # synth_trace make by default
@@ -221,8 +233,8 @@ def test_synth_fit_s21_round_trip(tmp_path):
     rec = load(out)[0]
     assert set(rec) == {
         "label", "f_r", "f_r_err", "q_l", "q_l_err", "q_c", "q_c_err", "q_i",
-        "q_i_err", "phi", "a", "alpha", "alpha_err", "tau", "tau_err", "nfev",
-        "reduced_chi2", "n_photon"}
+        "q_i_err", "phi", "a", "alpha", "alpha_err", "tau", "tau_err", "alpha_c",
+        "alpha_c_err", "nfev", "status", "reduced_chi2", "n_photon"}
     assert rec["f_r"] == pytest.approx(6e9, rel=1e-7)
     assert rec["q_l"] == pytest.approx(5e5, rel=0.005)
     assert rec["n_photon"] > 0

@@ -1,10 +1,13 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 from scipy.constants import hbar
 
 from cpwloss import ResonatorFit, S21Trace, fit_s21, notch_model, photon_number, synth_trace
-from cpwloss.errors import ConfigError, NoDipFoundError
+from cpwloss.errors import ConfigError, FitDivergedError, NoDipFoundError
 from cpwloss.s21fit import _fit_circle_algebraic, read_trace, write_trace
 
 
@@ -99,8 +102,10 @@ def test_noise_monte_carlo_40db():
     assert hits >= 95
     assert np.percentile(q_i_errs, 90) <= 0.025
     # the reported errors are calibrated: they match the scatter over seeds
-    for name in ("q_i", "q_l", "f_r", "tau"):
-        values = [getattr(fit, name) for fit in fits]
+    for name in ("q_i", "q_l", "f_r", "tau", "alpha_c"):
+        values = np.array([getattr(fit, name) for fit in fits])
+        if name == "alpha_c":  # a phase: its spread about the circular mean
+            values = np.angle(np.exp(1j * values) / np.mean(np.exp(1j * values)))
         reported = np.median([getattr(fit, name + "_err") for fit in fits])
         assert 0.8 <= np.std(values, ddof=1) / reported <= 1.25, name
     # reduced chi^2 estimates the noise variance per quadrature
@@ -108,6 +113,7 @@ def test_noise_monte_carlo_40db():
     assert np.median([fit.reduced_chi2 for fit in fits]) == pytest.approx(
         sigma**2 / 2, rel=0.05)
     assert all(fit.nfev > 0 for fit in fits)
+    assert all(fit.status in (1, 2, 3, 4) for fit in fits)
 
 
 def _regime_corners(test):
@@ -159,6 +165,76 @@ def test_alpha_error_covers_delay_extrapolation():
                         snr_db=45.0, seed=3)
     fit = fit_s21(trace)
     assert abs(np.angle(np.exp(1j * fit.alpha))) <= 2 * fit.alpha_err
+
+
+def test_alpha_c_is_the_span_centre_phase():
+    # no extrapolation to f = 0: the phase at the span centre is known to
+    # a fraction of a milliradian, while alpha_err is radians
+    trace = synth_trace(f_r=6e9, q_l=5e5, q_c_mag=1e6, phi=0.1, alpha=0.3,
+                        tau=4e-8, snr_db=45.0, seed=3)
+    fit = fit_s21(trace)
+    fc = 0.5 * (trace.frequency[0] + trace.frequency[-1])
+    miss = np.angle(np.exp(1j * (fit.alpha_c - 0.3 + 2 * np.pi * fc * 4e-8)))
+    assert abs(miss) <= 4 * fit.alpha_c_err
+    assert fit.alpha_c_err < 1e-2 * fit.alpha_err
+    assert -np.pi <= fit.alpha_c <= np.pi
+
+
+# (f_r, Q_l, Q_c/Q_l, phi, a, alpha, tau, SNR dB, seed): ordinary fits, then
+# a small circle at 33 dB that takes more than 300 evaluations and one that
+# ends at maxfev. Such traces are where a rounding-level change shows.
+LMDER_CASES = [
+    (6e9, 5e5, 2.0, 0.1, 0.9, 0.3, 40e-9, None, None),
+    (6e9, 5e5, 2.0, 0.1, 0.9, 0.3, 40e-9, 40.0, 0),
+    (5e9, 1e4, 1.2, -0.25, 1.3, -2.0, 25e-9, 55.0, 1),
+    (7.5e9, 2e6, 5.0, 0.3, 0.6, 3.0, 60e-9, 45.0, 2),
+    (4.5e9, 1e5, 8.0, -0.1, 1.0, 0.0, 30e-9, 36.0, 3),
+    (6e9, 3e5, 1.05, 0.0, 1.0, 1.5, 50e-9, 60.0, 4),
+    (8e9, 1e3, 3.0, 0.45, 1.5, -3.1, 60e-9, 50.0, 5),
+    (6e9, 2e5, 12.0, -0.2, 0.7, 2.5, 20e-9, 35.0, 7),
+    (6e9, 2e5, 17.0, 0.2, 0.8, 1.0, 40e-9, 33.0, 44),  # 574 evaluations
+    (6e9, 2e5, 17.0, 0.2, 0.8, 1.0, 40e-9, 33.0, 6),  # ends at maxfev = 700
+]
+
+
+def _least_squares_lm(resid, x0, Dfun, **settings):
+    """`leastsq` over `least_squares(method="lm")`: the same MINPACK lmder,
+    reached through scipy's other driver with the settings fit_s21 states."""
+    _least_squares_lm.calls += 1
+    assert settings == dict(full_output=True, ftol=1e-8, xtol=1e-15, gtol=1e-15,
+                            maxfev=700, factor=100.0, diag=None)
+    sol = scipy.optimize.least_squares(
+        resid, x0, jac=Dfun, method="lm", x_scale="jac", ftol=1e-8,
+        xtol=1e-15, gtol=1e-15, max_nfev=700)
+    # least_squares renumbers MINPACK's info; map it back
+    status = {2: 1, 3: 2, 4: 3, 1: 4, 0: 5}[sol.status]
+    return sol.x, None, {"fvec": sol.fun, "nfev": sol.nfev}, sol.message, status
+
+
+def _outcomes():
+    out = []
+    for f_r, q_l, ratio, phi, a, alpha, tau, snr_db, seed in LMDER_CASES:
+        trace = synth_trace(f_r=f_r, q_l=q_l, q_c_mag=q_l * ratio, phi=phi, a=a,
+                            alpha=alpha, tau=tau, snr_db=snr_db, seed=seed)
+        try:
+            out.append(asdict(fit_s21(trace)))
+        except FitDivergedError as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_leastsq_matches_least_squares_lm(monkeypatch):
+    # fit_s21 calls lmder through leastsq; least_squares(method="lm") calls
+    # the same lmder. With the same settings every field must agree bit for
+    # bit, on the crawling and the maxfev trace too.
+    shipped = _outcomes()
+    _least_squares_lm.calls = 0
+    monkeypatch.setattr(scipy.optimize, "leastsq", _least_squares_lm)
+    other = _outcomes()
+    assert _least_squares_lm.calls == len(LMDER_CASES)
+    assert shipped[-2]["nfev"] > 300 and shipped[-1] is FitDivergedError
+    for a, b in zip(shipped, other):
+        assert a == b
 
 
 def test_flat_trace_no_dip():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,18 @@ def test_sweep_io_round_trip(tmp_path):
     assert again.temperature == pytest.approx(sweep.temperature)
     assert again.chip == "400C-ref"
     assert again.resonator == "R3"
+
+
+@pytest.mark.parametrize("line, match", [
+    ("nan,1e6,1e4", "n_photon must be finite"),
+    ("-1,1e6,1e4", "photon numbers must be strictly positive"),
+])
+def test_read_sweep_value_error_names_file(tmp_path, line, match):
+    path = tmp_path / "sweep.csv"
+    write_sweep(synth_sweep(**TRUE, seed=5), path)
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {match}")):
+        read_sweep(path)
 
 
 def test_read_sweep_requires_metadata(tmp_path):
