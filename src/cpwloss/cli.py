@@ -167,7 +167,10 @@ def cmd_fit_s21(args):
         fit = s21fit.fit_s21(trace)
         rec = asdict(fit)
         if args.power_dbm is not None:
-            rec["n_photon"] = s21fit.photon_number(args.power_dbm, fit)
+            try:
+                rec["n_photon"] = s21fit.photon_number(args.power_dbm, fit)
+            except ConfigError as exc:
+                raise ConfigError(f"--power-dbm: {exc}") from None
         print(f"{path}: f_r={fit.f_r:.6e} Hz  Q_l={fit.q_l:.4e}  "
               f"Q_i={fit.q_i:.4e}  Q_c={fit.q_c:.4e}")
         return rec
@@ -218,10 +221,15 @@ def cmd_stats(args):
         summary = stats_mod.summarize_chip(
             args.chip, fits, q_lows=q_lows, q_highs=q_highs,
             sample_holder=args.sample_holder,
-            simulated_total=args.simulated_total,
         )
     except ConfigError as exc:
         raise ConfigError(f"{', '.join(args.records)}: {exc}") from None
+    if args.simulated_total is not None:
+        try:
+            summary.comparison = stats_mod.compare_measured_vs_simulated(
+                summary.f_tan_delta0.mean, args.simulated_total)
+        except ConfigError as exc:
+            raise ConfigError(f"--simulated-total: {exc}") from None
     wm = summary.f_tan_delta0
     record = asdict(summary)
     record["weighted_mean_f_tan_delta0"] = dict(

@@ -5,10 +5,11 @@ Model:
     S21(f) = a * exp(i*alpha) * exp(-2*pi*i*f*tau)
              * [1 - (Q_l / |Q_c|) * exp(i*phi) / (1 + 2i*Q_l*(f/f_r - 1))]
 
-Fit pipeline: slope delay and circle fit as start values, then one complex
-least-squares fit over the seven model parameters; errors from its
-covariance (Probst et al., Rev. Sci. Instrum. 86, 024706 (2015)). The
-diameter correction gives Q_c = |Q_c| / cos(phi), and 1/Q_i = 1/Q_l - 1/Q_c.
+Fit pipeline: slope delay and circle fit as start values, with Q_l from the
+area of the dip, then one complex least-squares fit over the seven model
+parameters; errors from its covariance (Probst et al., Rev. Sci. Instrum.
+86, 024706 (2015)). The diameter correction gives Q_c = |Q_c| / cos(phi), and
+1/Q_i = 1/Q_l - 1/Q_c.
 
 The fit is MINPACK's Levenberg-Marquardt `lmder` (More, LNM 630 (1978)),
 called through `scipy.optimize.leastsq` with every setting written out:
@@ -73,6 +74,7 @@ class ResonatorFit:
     alpha_c_err: float = 0.0
     nfev: int = 0  # model evaluations of the least-squares fit
     status: int = 0  # MINPACK info 1-4: the convergence test that ended the fit
+    start: tuple = ()  # start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau)
     reduced_chi2: float = np.nan  # 2 * cost / dof of that fit
     label: str = ""
 
@@ -145,15 +147,11 @@ def _estimate_delay(f, z):
 
 def _start_values(f, z, mag, depth):
     """Start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau) from the phase-slope
-    delay, a circle fit to the delay-corrected data and the dip's shape."""
+    delay, a circle fit to the delay-corrected data and the dip's area."""
     tau = _estimate_delay(f, z)
     zc = z * np.exp(2j * np.pi * f * tau)
     center, radius = _fit_circle_algebraic(zc)
     f_r = f[np.argmin(mag)]
-    # crude Q_l from the half-depth width
-    below = np.where(mag < mag.min() + depth / 2)[0]
-    width = f[below[-1]] - f[below[0]] if len(below) > 1 else (f[-1] - f[0]) / 10
-    q_l = f_r / max(width, f[1] - f[0])
     # off-resonant point: the circle point in the mean direction of the
     # outer 10% of points, as seen from the centre
     k = max(len(f) // 20, 1)
@@ -163,6 +161,22 @@ def _start_values(f, z, mag, depth):
     if a <= 0:
         raise FitDivergedError("degenerate off-resonant point")
     phi = np.angle(1 - center / offres)
+    # Q_l from the dip's area: w = 1 - zc/offres has |w|^2 = D^2 / (1 +
+    # 4 Q_l^2 (f/f_r - 1)^2) with the diameter D = 2 radius / a, whose
+    # integral over f is D^2 pi f_r / (2 Q_l). The noise power per point,
+    # from first differences, comes off first. A half-depth width would also
+    # count noise points far from the dip.
+    w = 1 - zc / offres
+    floor = np.mean(np.abs(np.diff(w)) ** 2) / 2
+    area = np.trapezoid(np.abs(w) ** 2 - floor, f)
+    d_sq = (2 * radius / a) ** 2
+    if area > 0:
+        q_l = np.clip(d_sq * np.pi * f_r / (2 * area), f_r / (f[-1] - f[0]),
+                      f_r / (f[1] - f[0]))
+    else:  # the half-depth width
+        below = np.where(mag < mag.min() + depth / 2)[0]
+        width = f[below[-1]] - f[below[0]] if len(below) > 1 else (f[-1] - f[0]) / 10
+        q_l = f_r / max(width, f[1] - f[0])
     return f_r, q_l, q_l * a / (2 * radius), phi, a, np.angle(offres), tau
 
 
@@ -181,7 +195,8 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     if depth < max(5 * noise, 1e-6 * baseline):
         raise NoDipFoundError("no resonance dip found in trace")
 
-    f_r0, q_l0, q_c0, phi0, a0, alpha0, tau0 = _start_values(f, z, mag, depth)
+    start = _start_values(f, z, mag, depth)
+    f_r0, q_l0, q_c0, phi0, a0, alpha0, tau0 = start
     # Parameters in units of their start values: f_r as an offset in
     # linewidths, Q_l, |Q_c| and a as ratios, tau as an offset in radians of
     # phase across the span, phi in radians, and the environment phase taken
@@ -288,7 +303,8 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
         f_r_err=f_r_err, q_l_err=q_l_err, q_c_err=q_c_err, q_i_err=q_i_err,
         alpha_err=alpha_err, tau_err=tau_err,
         alpha_c=alpha_c, alpha_c_err=float(np.sqrt(np.abs(cov[5, 5]))),
-        nfev=int(info["nfev"]), status=int(status), reduced_chi2=float(s_sq),
+        nfev=int(info["nfev"]), status=int(status),
+        start=tuple(float(v) for v in start), reduced_chi2=float(s_sq),
         label=trace.label,
     )
 
@@ -300,6 +316,8 @@ def photon_number(power_dbm: float, fit: ResonatorFit) -> float:
     depends on the attenuation-chain calibration and is order-of-magnitude
     when comparing across setups.
     """
+    if not np.isfinite(power_dbm):
+        raise ConfigError(f"power must be finite, got {power_dbm} dBm")
     if fit.q_l <= 0 or fit.q_c <= 0 or fit.f_r <= 0:
         raise ConfigError("photon_number requires positive Q_l, Q_c and f_r")
     p_watt = 10 ** (power_dbm / 10) * 1e-3

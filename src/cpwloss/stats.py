@@ -101,8 +101,11 @@ class Comparison:
 def compare_measured_vs_simulated(measured_mean: float,
                                   simulated_total: float) -> Comparison:
     """Measured weighted-mean loss vs the simulated budget total."""
-    if simulated_total <= 0:
-        raise ConfigError("simulated total must be positive")
+    if not np.isfinite(measured_mean):
+        raise ConfigError(f"measured mean must be finite, got {measured_mean}")
+    if not (np.isfinite(simulated_total) and simulated_total > 0):
+        raise ConfigError(
+            f"simulated total must be finite and positive, got {simulated_total}")
     ratio = measured_mean / simulated_total
     return Comparison(
         measured=measured_mean, simulated=simulated_total,

@@ -234,10 +234,23 @@ def test_synth_fit_s21_round_trip(tmp_path):
     assert set(rec) == {
         "label", "f_r", "f_r_err", "q_l", "q_l_err", "q_c", "q_c_err", "q_i",
         "q_i_err", "phi", "a", "alpha", "alpha_err", "tau", "tau_err", "alpha_c",
-        "alpha_c_err", "nfev", "status", "reduced_chi2", "n_photon"}
+        "alpha_c_err", "nfev", "status", "start", "reduced_chi2", "n_photon"}
     assert rec["f_r"] == pytest.approx(6e9, rel=1e-7)
     assert rec["q_l"] == pytest.approx(5e5, rel=0.005)
     assert rec["n_photon"] > 0
+    assert len(rec["start"]) == 7 and rec["start"][1] == pytest.approx(5e5, rel=0.5)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_s21_non_finite_power_is_input_error(tmp_path, capsys, value):
+    trace = tmp_path / "trace.csv"
+    assert run(["synth", "--s21", "fr=6e9,ql=5e5,qc=1e6", "--output", str(trace)]) == 0
+    out = tmp_path / "fit.json"
+    capsys.readouterr()
+    assert run(["fit-s21", str(trace), "--power-dbm", value,
+                "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --power-dbm: ")
+    assert not out.exists()
 
 
 def test_synth_argument_validation(tmp_path):
@@ -342,6 +355,18 @@ def test_stats_pipeline(tmp_path, capsys):
                             "whisker_high", "outliers"}
     header = csv_out.read_text().splitlines()[0]
     assert header.startswith("chip,quantity,q1,mean,q3")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_stats_non_finite_simulated_total_is_input_error(tmp_path, capsys, value):
+    src = tmp_path / "fits.json"
+    src.write_text(json.dumps([{"f_tan_delta0": 1e-6, "f_tan_delta0_err": 1e-7,
+                                "n_c": 10.0, "b": 0.4, "delta_other": 5e-8}]))
+    out = tmp_path / "summary.json"
+    assert run(["stats", str(src), "--simulated-total", value,
+                "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --simulated-total: ")
+    assert not out.exists()
 
 
 def test_stats_record_missing_fields_is_input_error(tmp_path, capsys):

@@ -130,9 +130,7 @@ def _regime_corners(test):
     return test
 
 
-@_regime_corners
-@settings(max_examples=60, deadline=None)
-@given(
+REGIME_MAP = dict(
     f_r=st.floats(4e9, 8e9),
     log_q_l=st.floats(3.0, 7.0),
     coupling=st.floats(1.05, 100.0),
@@ -143,19 +141,82 @@ def _regime_corners(test):
     span=st.floats(30.0, 120.0),
     n_points=st.integers(201, 2001),
 )
+
+
+def _regime_trace(f_r, log_q_l, coupling, phi, a, alpha, tau, span, n_points):
+    q_l = 10**log_q_l
+    return synth_trace(f_r=f_r, q_l=q_l, q_c_mag=coupling * q_l, phi=phi, a=a,
+                       alpha=alpha, tau=tau, n_points=n_points,
+                       span_linewidths=span)
+
+
+@_regime_corners
+@settings(max_examples=60, deadline=None)
+@given(**REGIME_MAP)
 def test_noiseless_regime_map(f_r, log_q_l, coupling, phi, a, alpha, tau,
                               span, n_points):
     q_l = 10**log_q_l
     q_c_mag = coupling * q_l
-    trace = synth_trace(f_r=f_r, q_l=q_l, q_c_mag=q_c_mag, phi=phi, a=a,
-                        alpha=alpha, tau=tau, n_points=n_points,
-                        span_linewidths=span)
-    fit = fit_s21(trace)
+    fit = fit_s21(_regime_trace(f_r, log_q_l, coupling, phi, a, alpha, tau,
+                                span, n_points))
     q_c = q_c_mag / np.cos(phi)
     assert fit.f_r == pytest.approx(f_r, rel=1e-9)
     assert fit.q_l == pytest.approx(q_l, rel=1e-9)
     assert fit.q_c == pytest.approx(q_c, rel=1e-9)
     assert fit.q_i == pytest.approx(1 / (1 / q_l - 1 / q_c), rel=1e-9)
+
+
+@_regime_corners
+@settings(max_examples=60, deadline=None)
+@given(**REGIME_MAP)
+def test_q_l_start_on_noiseless_regime_map(f_r, log_q_l, coupling, phi, a,
+                                           alpha, tau, span, n_points):
+    # the start Q_l comes from the dip's area; a half-depth width of |S21|
+    # starts an overcoupled dip ~1.7x too high
+    fit = fit_s21(_regime_trace(f_r, log_q_l, coupling, phi, a, alpha, tau,
+                                span, n_points))
+    assert 1 / 1.5 <= fit.start[1] / 10**log_q_l <= 1.5
+
+
+def test_q_l_start_on_40db_traces():
+    starts = []
+    for seed in range(100):
+        trace = synth_trace(f_r=6e9, q_l=5e5, q_c_mag=1e6, phi=0.1, a=0.9,
+                            alpha=0.3, tau=40e-9, snr_db=40.0, seed=seed)
+        starts.append(fit_s21(trace).start)
+    assert all(1 / 1.5 <= start[1] / 5e5 <= 1.5 for start in starts)
+    # the other start values in physical units: f_r, a and tau
+    assert np.median([start[0] for start in starts]) == pytest.approx(6e9, rel=1e-6)
+    assert np.median([start[4] for start in starts]) == pytest.approx(0.9, rel=0.01)
+    assert np.median([start[6] for start in starts]) == pytest.approx(40e-9, rel=0.05)
+
+
+def test_small_circles_at_33db_do_not_crawl(monkeypatch):
+    # with a half-depth width for the start Q_l, most of these small circles
+    # started 9-90x below the true Q_l and crawled along the Q_l-|Q_c|
+    # valley for hundreds of evaluations, 10 of the 22 to maxfev. The other
+    # traces raise NoDipFoundError before the fit.
+    statuses = []
+    leastsq = scipy.optimize.leastsq
+
+    def recording(*args, **kwargs):
+        out = leastsq(*args, **kwargs)
+        statuses.append(out[4])
+        return out
+
+    monkeypatch.setattr(scipy.optimize, "leastsq", recording)
+    nfev = []
+    for ratio in (15, 20):
+        for seed in range(40):
+            trace = synth_trace(f_r=6e9, q_l=2e5, q_c_mag=ratio * 2e5, phi=0.2,
+                                a=0.8, alpha=1.0, tau=40e-9, snr_db=33.0,
+                                seed=seed)
+            try:
+                nfev.append(fit_s21(trace).nfev)
+            except (NoDipFoundError, FitDivergedError):
+                continue
+    assert len(statuses) >= 20 and set(statuses) <= {1, 2, 3, 4}
+    assert len(nfev) == len(statuses) and max(nfev) <= 50
 
 
 def test_alpha_error_covers_delay_extrapolation():
@@ -180,20 +241,21 @@ def test_alpha_c_is_the_span_centre_phase():
     assert -np.pi <= fit.alpha_c <= np.pi
 
 
-# (f_r, Q_l, Q_c/Q_l, phi, a, alpha, tau, SNR dB, seed): ordinary fits, then
-# a small circle at 33 dB that takes more than 300 evaluations and one that
-# ends at maxfev. Such traces are where a rounding-level change shows.
+# (f_r, Q_l, Q_c/Q_l, phi, a, alpha, tau, SNR dB, seed, span in linewidths):
+# ordinary fits, then two small circles at 33 dB on a wide span (5 points per
+# linewidth), one that takes more than 300 evaluations and one that ends at
+# maxfev. Such traces are where a rounding-level change shows.
 LMDER_CASES = [
-    (6e9, 5e5, 2.0, 0.1, 0.9, 0.3, 40e-9, None, None),
-    (6e9, 5e5, 2.0, 0.1, 0.9, 0.3, 40e-9, 40.0, 0),
-    (5e9, 1e4, 1.2, -0.25, 1.3, -2.0, 25e-9, 55.0, 1),
-    (7.5e9, 2e6, 5.0, 0.3, 0.6, 3.0, 60e-9, 45.0, 2),
-    (4.5e9, 1e5, 8.0, -0.1, 1.0, 0.0, 30e-9, 36.0, 3),
-    (6e9, 3e5, 1.05, 0.0, 1.0, 1.5, 50e-9, 60.0, 4),
-    (8e9, 1e3, 3.0, 0.45, 1.5, -3.1, 60e-9, 50.0, 5),
-    (6e9, 2e5, 12.0, -0.2, 0.7, 2.5, 20e-9, 35.0, 7),
-    (6e9, 2e5, 17.0, 0.2, 0.8, 1.0, 40e-9, 33.0, 44),  # 574 evaluations
-    (6e9, 2e5, 17.0, 0.2, 0.8, 1.0, 40e-9, 33.0, 6),  # ends at maxfev = 700
+    (6e9, 5e5, 2.0, 0.1, 0.9, 0.3, 40e-9, None, None, 100.0),
+    (6e9, 5e5, 2.0, 0.1, 0.9, 0.3, 40e-9, 40.0, 0, 100.0),
+    (5e9, 1e4, 1.2, -0.25, 1.3, -2.0, 25e-9, 55.0, 1, 100.0),
+    (7.5e9, 2e6, 5.0, 0.3, 0.6, 3.0, 60e-9, 45.0, 2, 100.0),
+    (4.5e9, 1e5, 8.0, -0.1, 1.0, 0.0, 30e-9, 36.0, 3, 100.0),
+    (6e9, 3e5, 1.05, 0.0, 1.0, 1.5, 50e-9, 60.0, 4, 100.0),
+    (8e9, 1e3, 3.0, 0.45, 1.5, -3.1, 60e-9, 50.0, 5, 100.0),
+    (6e9, 2e5, 12.0, -0.2, 0.7, 2.5, 20e-9, 35.0, 7, 100.0),
+    (6e9, 2e5, 15.0, 0.2, 0.8, 1.0, 40e-9, 33.0, 41, 200.0),  # 536 evaluations
+    (6e9, 2e5, 17.0, 0.2, 0.8, 1.0, 40e-9, 33.0, 52, 200.0),  # ends at maxfev = 700
 ]
 
 
@@ -213,9 +275,10 @@ def _least_squares_lm(resid, x0, Dfun, **settings):
 
 def _outcomes():
     out = []
-    for f_r, q_l, ratio, phi, a, alpha, tau, snr_db, seed in LMDER_CASES:
+    for f_r, q_l, ratio, phi, a, alpha, tau, snr_db, seed, span in LMDER_CASES:
         trace = synth_trace(f_r=f_r, q_l=q_l, q_c_mag=q_l * ratio, phi=phi, a=a,
-                            alpha=alpha, tau=tau, snr_db=snr_db, seed=seed)
+                            alpha=alpha, tau=tau, snr_db=snr_db, seed=seed,
+                            span_linewidths=span)
         try:
             out.append(asdict(fit_s21(trace)))
         except FitDivergedError as exc:
@@ -272,6 +335,14 @@ def test_photon_number_documented_example():
     expected = 2 * 1e-17 * 5e5**2 / (5e5 * hbar * (2 * np.pi * 6e9) ** 2)
     assert n == pytest.approx(expected, rel=1e-12)
     assert n == pytest.approx(66.7, rel=0.01)
+
+
+@pytest.mark.parametrize("power_dbm", [np.nan, np.inf, -np.inf])
+def test_photon_number_non_finite_power(power_dbm):
+    fit = ResonatorFit(f_r=6e9, q_l=5e5, q_c=5e5, q_i=1e9, phi=0.0,
+                       a=1.0, alpha=0.0, tau=0.0)
+    with pytest.raises(ConfigError, match="finite"):
+        photon_number(power_dbm, fit)
 
 
 def test_photon_number_linearity_and_limit():

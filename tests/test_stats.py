@@ -183,6 +183,14 @@ def test_compare_equal_no_flag():
         compare_measured_vs_simulated(1e-6, 0.0)
 
 
+@pytest.mark.parametrize("measured, simulated", [
+    (1e-6, math.nan), (1e-6, math.inf), (math.nan, 1e-6), (math.inf, 1e-6),
+])
+def test_compare_non_finite_is_config_error(measured, simulated):
+    with pytest.raises(ConfigError, match="finite"):
+        compare_measured_vs_simulated(measured, simulated)
+
+
 def _fake_fits(values, errs=None):
     errs = errs or [0.1 * v for v in values]
     return [TlsFit(f_tan_delta0=v, n_c=10, b=0.4, delta_other=5e-8,
