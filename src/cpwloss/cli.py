@@ -162,15 +162,15 @@ def _fit_each(paths, fit_one, output):
 
 
 def cmd_fit_s21(args):
+    if args.power_dbm is not None and not math.isfinite(args.power_dbm):
+        raise ConfigError(f"--power-dbm: power must be finite, got {args.power_dbm} dBm")
+
     def fit_one(path):
         trace = s21fit.read_trace(path, fmt=args.format, power_dbm=args.power_dbm)
         fit = s21fit.fit_s21(trace)
         rec = asdict(fit)
         if args.power_dbm is not None:
-            try:
-                rec["n_photon"] = s21fit.photon_number(args.power_dbm, fit)
-            except ConfigError as exc:
-                raise ConfigError(f"--power-dbm: {exc}") from None
+            rec["n_photon"] = s21fit.photon_number(args.power_dbm, fit)
         print(f"{path}: f_r={fit.f_r:.6e} Hz  Q_l={fit.q_l:.4e}  "
               f"Q_i={fit.q_i:.4e}  Q_c={fit.q_c:.4e}")
         return rec
@@ -193,6 +193,10 @@ def cmd_fit_tls(args):
 
 
 def cmd_stats(args):
+    total = args.simulated_total
+    if total is not None and not (math.isfinite(total) and total > 0):
+        raise ConfigError(f"--simulated-total: simulated total must be finite "
+                          f"and positive, got {total}")
     tls_fields = {f.name: f.type == "float" for f in fields(tlsfit.TlsFit)}
     required = [f.name for f in fields(tlsfit.TlsFit)
                 if f.default is MISSING and f.default_factory is MISSING]
@@ -221,15 +225,10 @@ def cmd_stats(args):
         summary = stats_mod.summarize_chip(
             args.chip, fits, q_lows=q_lows, q_highs=q_highs,
             sample_holder=args.sample_holder,
+            simulated_total=args.simulated_total,
         )
     except ConfigError as exc:
         raise ConfigError(f"{', '.join(args.records)}: {exc}") from None
-    if args.simulated_total is not None:
-        try:
-            summary.comparison = stats_mod.compare_measured_vs_simulated(
-                summary.f_tan_delta0.mean, args.simulated_total)
-        except ConfigError as exc:
-            raise ConfigError(f"--simulated-total: {exc}") from None
     wm = summary.f_tan_delta0
     record = asdict(summary)
     record["weighted_mean_f_tan_delta0"] = dict(

@@ -145,7 +145,7 @@ def _estimate_delay(f, z):
     return -np.mean(slopes) / (2 * np.pi)
 
 
-def _start_values(f, z, mag, depth):
+def _start_values(f, z, mag):
     """Start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau) from the phase-slope
     delay, a circle fit to the delay-corrected data and the dip's area."""
     tau = _estimate_delay(f, z)
@@ -165,18 +165,15 @@ def _start_values(f, z, mag, depth):
     # 4 Q_l^2 (f/f_r - 1)^2) with the diameter D = 2 radius / a, whose
     # integral over f is D^2 pi f_r / (2 Q_l). The noise power per point,
     # from first differences, comes off first. A half-depth width would also
-    # count noise points far from the dip.
+    # count noise points far from the dip. A non-positive area (no dip above
+    # the noise) starts Q_l at the upper clamp.
     w = 1 - zc / offres
     floor = np.mean(np.abs(np.diff(w)) ** 2) / 2
-    area = np.trapezoid(np.abs(w) ** 2 - floor, f)
-    d_sq = (2 * radius / a) ** 2
-    if area > 0:
-        q_l = np.clip(d_sq * np.pi * f_r / (2 * area), f_r / (f[-1] - f[0]),
-                      f_r / (f[1] - f[0]))
-    else:  # the half-depth width
-        below = np.where(mag < mag.min() + depth / 2)[0]
-        width = f[below[-1]] - f[below[0]] if len(below) > 1 else (f[-1] - f[0]) / 10
-        q_l = f_r / max(width, f[1] - f[0])
+    y = np.abs(w) ** 2 - floor
+    area = (np.diff(f) * (y[1:] + y[:-1]) / 2).sum()  # trapezoid rule
+    q_max = f_r / (f[1] - f[0])  # no dip above the noise: one point wide
+    q_l = (np.clip((2 * radius / a) ** 2 * np.pi * f_r / (2 * area),
+                   f_r / (f[-1] - f[0]), q_max) if area > 0 else q_max)
     return f_r, q_l, q_l * a / (2 * radius), phi, a, np.angle(offres), tau
 
 
@@ -195,7 +192,7 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     if depth < max(5 * noise, 1e-6 * baseline):
         raise NoDipFoundError("no resonance dip found in trace")
 
-    start = _start_values(f, z, mag, depth)
+    start = _start_values(f, z, mag)
     f_r0, q_l0, q_c0, phi0, a0, alpha0, tau0 = start
     # Parameters in units of their start values: f_r as an offset in
     # linewidths, Q_l, |Q_c| and a as ratios, tau as an offset in radians of

@@ -253,6 +253,14 @@ def test_fit_s21_non_finite_power_is_input_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_fit_s21_non_finite_power_is_checked_before_fitting(tmp_path, capsys):
+    # the flat trace would fail to fit (exit 2); the option is wrong first
+    flat = _flat_trace(tmp_path / "flat.csv")
+    capsys.readouterr()
+    assert run(["fit-s21", str(flat), "--power-dbm", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: --power-dbm: ")
+
+
 def test_synth_argument_validation(tmp_path):
     assert run(["synth"]) == 1
     assert run(["synth", "--tls", "F=1e-6", "--s21", "fr=6e9,ql=1e5,qc=2e5"]) == 1
@@ -357,13 +365,13 @@ def test_stats_pipeline(tmp_path, capsys):
     assert header.startswith("chip,quantity,q1,mean,q3")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-9.3e-7"])
 def test_stats_non_finite_simulated_total_is_input_error(tmp_path, capsys, value):
     src = tmp_path / "fits.json"
     src.write_text(json.dumps([{"f_tan_delta0": 1e-6, "f_tan_delta0_err": 1e-7,
                                 "n_c": 10.0, "b": 0.4, "delta_other": 5e-8}]))
     out = tmp_path / "summary.json"
-    assert run(["stats", str(src), "--simulated-total", value,
+    assert run(["stats", str(src), f"--simulated-total={value}",
                 "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: --simulated-total: ")
     assert not out.exists()

@@ -8,7 +8,7 @@ from scipy.constants import hbar
 
 from cpwloss import ResonatorFit, S21Trace, fit_s21, notch_model, photon_number, synth_trace
 from cpwloss.errors import ConfigError, FitDivergedError, NoDipFoundError
-from cpwloss.s21fit import _fit_circle_algebraic, read_trace, write_trace
+from cpwloss.s21fit import _fit_circle_algebraic, _start_values, read_trace, write_trace
 
 
 def test_notch_model_on_resonance_depth():
@@ -189,6 +189,18 @@ def test_q_l_start_on_40db_traces():
     assert np.median([start[0] for start in starts]) == pytest.approx(6e9, rel=1e-6)
     assert np.median([start[4] for start in starts]) == pytest.approx(0.9, rel=0.01)
     assert np.median([start[6] for start in starts]) == pytest.approx(40e-9, rel=0.05)
+
+
+def test_q_l_start_without_dip_area_is_one_point_wide():
+    # points on a circle that alternate about the off-resonant point: the
+    # noise floor from first differences exceeds the mean |w|^2, so the
+    # area is negative and the start Q_l takes the upper clamp f_r / df
+    f = np.linspace(6e9, 6.001e9, 201)
+    angle = np.zeros(201)
+    angle[20:-20] = 0.1 * (-1.0) ** np.arange(161)
+    z = 0.6 + 0.2 * np.exp(1j * angle)
+    start = _start_values(f, z, np.abs(z))
+    assert start[1] == start[0] / (f[1] - f[0])
 
 
 def test_small_circles_at_33db_do_not_crawl(monkeypatch):
