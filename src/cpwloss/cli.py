@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, asdict, fields
 
@@ -17,8 +16,6 @@ from . import __version__
 from .errors import CpwLossError, ConfigError, FitError, MeshError, SolveError
 from . import geometry, participation, s21fit, stats as stats_mod, tlsfit
 from .fieldsolve import build_mesh, dump_fields_csv, solve_potential
-
-CONFIG_ENV_VAR = "CPWLOSS_CONFIG"
 
 
 def _plain(obj):
@@ -69,20 +66,29 @@ def _budget_record(budget):
 
 
 def _resolve_stack(args):
-    if args.config:
+    """The stack from --config, from --preset [--treatment] or the defaults."""
+    if args.treatment is not None and args.preset is None:
+        raise ConfigError("--treatment applies to a --preset chip; give --preset")
+    if args.config is not None and args.preset is not None:
+        raise ConfigError("--config and --preset each give the stack; give one")
+    if args.config is not None:
         return geometry.load_stack(args.config), f"config:{args.config}"
-    if args.preset:
-        stack = geometry.reference_presets(args.preset, args.treatment)
-        return stack, f"preset:{args.preset}/{args.treatment}"
-    env = os.environ.get(CONFIG_ENV_VAR)
-    if env:
-        return geometry.load_stack(env), f"config:{env} (from ${CONFIG_ENV_VAR})"
-    return geometry.build_stack({}), "defaults"
+    if args.preset is None:
+        return geometry.build_stack({}), "defaults"
+    treatment = args.treatment or "reference"
+    stack = geometry.reference_presets(args.preset, treatment)
+    return stack, f"preset:{args.preset}/{treatment}"
+
+
+def _refinement(args):
+    if args.refinement < 1:  # build_mesh would call it a numerical failure
+        raise ConfigError(f"--refinement: must be >= 1, got {args.refinement}")
+    return args.refinement
 
 
 def cmd_simulate(args):
     stack, provenance = _resolve_stack(args)
-    mesh = build_mesh(stack, args.refinement)
+    mesh = build_mesh(stack, _refinement(args))
     solution = solve_potential(mesh)
     budget = participation.simulate_budget(
         stack, solution=solution, label=provenance
@@ -112,32 +118,30 @@ def cmd_simulate(args):
 
 def cmd_budget(args):
     if args.input:
-        participations, tangents = {}, {}
-        for index, e in enumerate(_read_records(args.input, unwrap="entries")):
-            try:
-                participations[e["region"]] = float(e["participation"])
-                tangents[e["region"]] = float(e["loss_tangent"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"{args.input}: record {index} needs region, participation "
-                    f"and loss_tangent: {exc!r}") from None
+        source, records = args.input, _read_records(args.input, unwrap="entries")
     elif args.entry:
-        participations, tangents = {}, {}
-        for spec in args.entry:
-            try:
-                region, p, t = spec.split(":")
-                participations[region] = float(p)
-                tangents[region] = float(t)
-            except ValueError:
-                raise ConfigError(
-                    f"bad --entry {spec!r}; expected region:participation:tan_delta"
-                ) from None
+        # each REGION:P:TAN becomes the record a --input file holds
+        source, records = "--entry", [
+            dict(zip(("region", "participation", "loss_tangent"), spec.split(":", 2)))
+            for spec in args.entry]
     else:
         raise ConfigError("budget requires --input or --entry")
+    participations, tangents = {}, {}
+    for index, e in enumerate(records):
+        try:
+            region = e["region"]
+            p, t = float(e["participation"]), float(e["loss_tangent"])
+            if region in participations:  # TypeError if region is unhashable
+                raise ConfigError(f"{source}: record {index} repeats region {region!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{source}: record {index} needs region, participation "
+                f"and loss_tangent: {exc!r}") from None
+        participations[region], tangents[region] = p, t
     try:
         budget = participation.loss_budget(participations, tangents)
     except ConfigError as exc:
-        raise ConfigError(f"{args.input or '--entry'}: {exc}") from None
+        raise ConfigError(f"{source}: {exc}") from None
     print(participation.format_budget_table(budget))
     if args.output:
         _json_dump(_budget_record(budget), args.output)
@@ -262,7 +266,23 @@ def _write_boxplot_csv(summary, path):
             ])
 
 
-def _parse_kv(spec, aliases):
+# each synth option: generator, writer, what it writes and the field that
+# holds its points, parameter aliases, required and optional parameters, and
+# the generator's noise keyword with the option that sets it
+_SYNTH = {
+    "--tls": (tlsfit.synth_sweep, tlsfit.write_sweep, "sweep", "n_photon",
+              {"F": "f_tan_delta0", "nc": "n_c", "other": "delta_other",
+               "fr": "f_r", "temp": "temperature"},
+              ("f_tan_delta0", "n_c", "b", "delta_other"),
+              ("f_r", "temperature", "n_min", "n_max"), ("noise_frac", "noise")),
+    "--s21": (s21fit.synth_trace, s21fit.write_trace, "trace", "frequency",
+              {"fr": "f_r", "ql": "q_l", "qc": "q_c_mag"},
+              ("f_r", "q_l", "q_c_mag"), ("phi", "a", "alpha", "tau"),
+              ("snr_db", "snr_db")),
+}
+
+
+def _parse_kv(option, spec, aliases):
     out = {}
     for part in spec.split(","):
         if "=" not in part:
@@ -270,6 +290,8 @@ def _parse_kv(spec, aliases):
         key, val = part.split("=", 1)
         key = key.strip()
         key = aliases.get(key, key)
+        if key in out:
+            raise ConfigError(f"{option} gives parameter {key!r} twice")
         try:
             out[key] = float(val)
         except ValueError:
@@ -280,61 +302,38 @@ def _parse_kv(spec, aliases):
 def cmd_synth(args):
     if (args.tls is None) == (args.s21 is None):
         raise ConfigError("synth requires exactly one of --tls or --s21")
-    points = {} if args.points is None else {"n_points": args.points}
-    if args.tls is not None:
-        params = _parse_kv(args.tls, {
-            "F": "f_tan_delta0", "nc": "n_c", "other": "delta_other",
-            "fr": "f_r", "temp": "temperature",
-        })
-        required = ("f_tan_delta0", "n_c", "b", "delta_other")
-        missing = [k for k in required if k not in params]
-        if missing:
-            raise ConfigError(f"--tls is missing parameters: {missing}")
-        unknown = set(params) - set(required) - {"f_r", "temperature",
-                                                 "n_min", "n_max"}
-        if unknown:
-            raise ConfigError(f"unknown --tls parameters: {sorted(unknown)}")
-        kwargs = dict(
-            f_tan_delta0=params.pop("f_tan_delta0"),
-            n_c=params.pop("n_c"), b=params.pop("b"),
-            delta_other=params.pop("delta_other"),
-            noise_frac=args.noise, seed=args.seed, **points,
-        )
-        kwargs.update(params)  # optional f_r, temperature, n_min, n_max
-        sweep = tlsfit.synth_sweep(**kwargs)
-        if args.output:
-            tlsfit.write_sweep(sweep, args.output)
-            print(f"wrote {len(sweep.n_photon)}-point sweep to {args.output}")
-        else:
-            tlsfit.write_sweep(sweep, "/dev/stdout")
+    for option, value, least in (("--points", args.points, 1),
+                                 ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            raise ConfigError(f"{option}: must be >= {least}, got {value}")
+    option, spec = ("--tls", args.tls) if args.s21 is None else ("--s21", args.s21)
+    make, write, noun, axis, aliases, required, optional, noise = _SYNTH[option]
+    params = _parse_kv(option, spec, aliases)
+    missing = [k for k in required if k not in params]
+    if missing:
+        raise ConfigError(f"{option} is missing parameters: {missing}")
+    unknown = set(params) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown {option} parameters: {sorted(unknown)}")
+    if args.points is not None:
+        params["n_points"] = args.points
+    params[noise[0]] = getattr(args, noise[1])
+    try:
+        data = make(**params, seed=args.seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{option}: {exc}") from None
+    if args.output:
+        write(data, args.output)
+        print(f"wrote {len(getattr(data, axis))}-point {noun} to {args.output}")
     else:
-        params = _parse_kv(args.s21, {
-            "fr": "f_r", "ql": "q_l", "qc": "q_c_mag",
-        })
-        missing = [k for k in ("f_r", "q_l", "q_c_mag") if k not in params]
-        if missing:
-            raise ConfigError(f"--s21 is missing parameters: {missing}")
-        trace = s21fit.synth_trace(
-            f_r=params.pop("f_r"), q_l=params.pop("q_l"),
-            q_c_mag=params.pop("q_c_mag"),
-            phi=params.pop("phi", 0.0), a=params.pop("a", 1.0),
-            alpha=params.pop("alpha", 0.0), tau=params.pop("tau", 0.0),
-            snr_db=args.snr_db, seed=args.seed, **points,
-        )
-        if params:
-            raise ConfigError(f"unknown --s21 parameters: {sorted(params)}")
-        if args.output:
-            s21fit.write_trace(trace, args.output)
-            print(f"wrote {len(trace.frequency)}-point trace to {args.output}")
-        else:
-            s21fit.write_trace(trace, "/dev/stdout")
+        write(data, "/dev/stdout")
     return 0
 
 
 def cmd_reproduce_tables(args):
     # all six presets share the same bulk geometry: one solve serves them all
     base = geometry.reference_presets("400C", "reference")
-    mesh = build_mesh(base, args.refinement)
+    mesh = build_mesh(base, _refinement(args))
     solution = solve_potential(mesh)
     report = {}
     worst = 0.0
@@ -399,9 +398,8 @@ def build_parser():
     p.add_argument("--preset", choices=geometry.DEPOSITION_LABELS,
                    help="chip preset (deposition temperature)")
     p.add_argument("--treatment", choices=geometry.TREATMENTS,
-                   default="reference")
-    p.add_argument("--config", help="YAML stack config file (overrides "
-                                    f"${CONFIG_ENV_VAR})")
+                   help="treatment of the --preset chip (default reference)")
+    p.add_argument("--config", help="YAML stack config file (not with --preset)")
     p.add_argument("--refinement", type=int, default=2,
                    help="mesh refinement level (default 2)")
     p.add_argument("--dump-fields", metavar="CSV",

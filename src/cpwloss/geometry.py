@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from .errors import ConfigError
 
@@ -123,27 +123,11 @@ class CpwStack:
         self.validate()
 
     def validate(self):
-        positive = {
-            "trace_width": self.trace_width,
-            "gap": self.gap,
-            "metal_thickness": self.metal_thickness,
-            "substrate_thickness": self.substrate_thickness,
-            "domain_halfwidth": self.domain_halfwidth,
-            "domain_height_air": self.domain_height_air,
-            "domain_depth_substrate": self.domain_depth_substrate,
-        }
-        nonneg = {
-            "trench_depth": self.trench_depth,
-            "layer_MA_top": self.layer_MA_top,
-            "layer_MA_side": self.layer_MA_side,
-            "layer_SA": self.layer_SA,
-        }
-        for name, value in positive.items():
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        for name, value in nonneg.items():
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        for name in _LENGTH_KEYS:
+            value, zero_ok = getattr(self, name), name in _MAY_BE_ZERO
+            if not (0.0 < value < math.inf or zero_ok and value == 0.0):
+                raise ConfigError(f"{name} must be finite and "
+                                  f"{'>=' if zero_ok else '>'} 0, got {value}")
         if not 0.0 < self.ma_scale <= 1.0:
             raise ConfigError(f"ma_scale must be in (0, 1], got {self.ma_scale}")
         for t in (self.layer_MA_top, self.layer_MA_side, self.layer_SA):
@@ -168,19 +152,10 @@ class CpwStack:
         return asdict(self)  # recurses into the materials dict
 
 
-_LENGTH_KEYS = (
-    "trace_width",
-    "gap",
-    "metal_thickness",
-    "substrate_thickness",
-    "trench_depth",
-    "layer_MA_top",
-    "layer_MA_side",
-    "layer_SA",
-    "domain_halfwidth",
-    "domain_height_air",
-    "domain_depth_substrate",
-)
+_LENGTH_KEYS = tuple(f.name for f in fields(CpwStack)
+                     if f.name not in ("ma_scale", "materials"))
+# the lengths that may be zero; every other one must be > 0
+_MAY_BE_ZERO = ("trench_depth", "layer_MA_top", "layer_MA_side", "layer_SA")
 
 
 def build_stack(config: dict | None = None, **overrides) -> CpwStack:

@@ -330,6 +330,9 @@ def synth_trace(f_r, q_l, q_c_mag, phi=0.0, a=1.0, alpha=0.0, tau=0.0,
     snr_db is the ratio of the baseline amplitude `a` to the noise standard
     deviation per quadrature pair.
     """
+    for name, value in (("f_r", f_r), ("q_l", q_l), ("q_c_mag", q_c_mag)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
     linewidth = f_r / q_l
     half_span = span_linewidths * linewidth / 2
     f = np.linspace(f_r - half_span, f_r + half_span, n_points)

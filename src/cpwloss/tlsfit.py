@@ -46,6 +46,8 @@ class PhotonSweep:
         self.q_i_sigma = np.asarray(self.q_i_sigma, dtype=float)
         if not (len(self.n_photon) == len(self.q_i) == len(self.q_i_sigma)):
             raise ConfigError("sweep arrays have mismatched lengths")
+        if len(self.q_i) == 0:
+            raise ConfigError("sweep has no points")
         for name in ("n_photon", "q_i", "f_r", "temperature"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite")
@@ -233,6 +235,8 @@ def synth_sweep(f_tan_delta0, n_c, b, delta_other, f_r=6e9, temperature=0.01,
                 n_min=0.1, n_max=1e6, n_points=30, noise_frac=0.0,
                 seed=None, chip="", resonator="") -> PhotonSweep:
     """Generate a synthetic power sweep on a log-spaced photon grid."""
+    if not 0.0 <= noise_frac < np.inf:
+        raise ConfigError(f"noise_frac must be finite and >= 0, got {noise_frac}")
     n = np.logspace(np.log10(n_min), np.log10(n_max), n_points)
     inv_q = tls_inverse_q((f_tan_delta0, n_c, b, delta_other), n,
                           temperature, f_r)

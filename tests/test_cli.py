@@ -74,15 +74,10 @@ def test_simulate_preset(tmp_path, capsys):
     assert regions == ["substrate", "air", "metal_air", "substrate_air"]
 
 
-def test_simulate_config_file_and_env(tmp_path, monkeypatch, capsys):
+def test_simulate_config_file(tmp_path):
     cfg = tmp_path / "stack.yaml"
     cfg.write_text("trace_width: 10 um\ngap: 4.5 um\n")
     assert run(["simulate", "--config", str(cfg), "--refinement", "1"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("CPWLOSS_CONFIG", str(cfg))
-    out = tmp_path / "env.json"
-    assert run(["simulate", "--refinement", "1", "--output", str(out)]) == 0
-    assert "CPWLOSS_CONFIG" in load(out)["provenance"]
 
 
 def test_simulate_bad_config(tmp_path):
@@ -276,6 +271,52 @@ def test_synth_determinism(tmp_path):
     assert run(args + ["--output", str(a)]) == 0
     assert run(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+TLS_SPEC, S21_SPEC = "F=1e-6,nc=10,b=0.4,other=5e-8", "fr=6e9,ql=5e5,qc=1e6"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["synth", "--tls", TLS_SPEC, "--points", "-1"], "--points"),
+    (["synth", "--s21", S21_SPEC, "--points", "-1"], "--points"),
+    (["synth", "--tls", TLS_SPEC, "--points", "0"], "--points"),
+    (["synth", "--tls", TLS_SPEC, "--noise", "0.03", "--seed", "-1"], "--seed"),
+    (["synth", "--tls", TLS_SPEC, "--noise", "-0.5"], "noise_frac"),
+    (["synth", "--s21", "fr=6e9,ql=0,qc=1e6"], "q_l"),
+    (["synth", "--s21", "fr=6e9,ql=5e5,qc=-1e6"], "q_c_mag"),
+    (["synth", "--s21", S21_SPEC + ",fr=7e9"], "'f_r'"),
+    (["synth", "--s21", S21_SPEC + ",f_r=7e9"], "'f_r'"),
+    (["synth", "--tls", TLS_SPEC + ",nc=20"], "'n_c'"),
+    (["budget", "--entry", "substrate:0.9:1e-7", "--entry", "substrate:0.8:1e-7"],
+     "'substrate'"),
+    (["budget", "--input", "{twice}"], "'substrate'"),
+    (["simulate", "--refinement", "0"], "--refinement"),
+    (["simulate", "--refinement", "-3"], "--refinement"),
+    (["reproduce-tables", "--refinement", "0"], "--refinement"),
+    (["simulate", "--config", "{config}", "--preset", "500C", "--refinement", "1"],
+     "--preset"),
+    (["simulate", "--treatment", "hf_treated", "--refinement", "1"], "--treatment"),
+], ids=["tls-points-negative", "s21-points-negative", "tls-points-zero",
+        "seed-negative", "noise-negative", "s21-q-l-zero", "s21-q-c-negative",
+        "s21-key-twice", "s21-alias-and-name", "tls-key-twice",
+        "budget-entry-region-twice", "budget-input-region-twice",
+        "simulate-refinement-zero", "simulate-refinement-negative",
+        "tables-refinement-zero", "config-and-preset", "treatment-alone"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, expected):
+    config = tmp_path / "stack.yaml"
+    config.write_text("trace_width: 10 um\ngap: 4.5 um\n")
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps([
+        {"region": "substrate", "participation": p, "loss_tangent": 1e-7}
+        for p in (0.9, 0.8)]))
+    out = tmp_path / "out"
+    argv = [a.format(config=config, twice=twice) for a in argv]
+    # main returns here, so no exception escapes to print a traceback
+    assert run(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert expected in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _flat_trace(path):

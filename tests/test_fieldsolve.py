@@ -13,6 +13,7 @@ from scipy.sparse.linalg import spsolve
 import cpwloss
 from cpwloss import (
     RegionId, build_mesh, build_stack, simulate_budget, solve_potential,
+    thin_layer_participation,
 )
 from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
@@ -33,6 +34,38 @@ def cpw_capacitance_conformal(trace_width, gap, eps_substrate):
     kp = np.sqrt(1 - k * k)
     eps_eff = (1 + eps_substrate) / 2
     return 4 * epsilon_0 * eps_eff * ellipk(k * k) / ellipk(kp * kp)
+
+
+def cpw_gap_field_conformal(x, a, b, voltage=1.0):
+    """Conformal-mapping E_x on the gap surface a < x < b of a zero-thickness
+    CPW (trace |x| < a at `voltage`, grounds |x| > b):
+
+    E_x = V b / (K(k') sqrt((x^2 - a^2)(b^2 - x^2))), k = a / b.
+
+    It is the same on the air and the substrate side, and E_y = 0 there.
+    """
+    from scipy.special import ellipk
+
+    k = a / b
+    return voltage * b / (ellipk(1 - k * k)
+                          * np.sqrt((x * x - a * a) * (b * b - x * x)))
+
+
+def cpw_gap_field_squared_integral(a, b, cut, voltage=1.0):
+    """Integral of cpw_gap_field_conformal^2 over a + cut < x < b - cut, in
+    closed form by partial fractions:
+    1 / ((x^2 - a^2)(b^2 - x^2)) = (1 / (x^2 - a^2) + 1 / (b^2 - x^2)) / (b^2 - a^2).
+    """
+    from scipy.special import ellipk
+
+    k = a / b
+
+    def antiderivative(x):
+        return (np.log((x - a) / (x + a)) / (2 * a)
+                + np.log((b + x) / (b - x)) / (2 * b)) / (b * b - a * a)
+
+    return (voltage * b / ellipk(1 - k * k)) ** 2 * (
+        antiderivative(b - cut) - antiderivative(a + cut))
 
 
 def _graded(a, b, n, ratio=1.25):
@@ -142,6 +175,43 @@ def test_cpw_capacitance_vs_conformal_mapping():
     sol = solve_potential(build_mesh(stack, 2))
     c_ref = cpw_capacitance_conformal(stack.trace_width, stack.gap, 11.9)
     assert sol.capacitance_per_length == pytest.approx(c_ref, rel=0.02)
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["L2", "L3"])
+def thin_metal_solution(request):
+    # the conformal forms hold for zero-thickness metal; 2 nm is close to it
+    stack = build_stack({"metal_thickness": "2 nm"})
+    return solve_potential(build_mesh(stack, request.param))
+
+
+def _gap_edges(solution):
+    x, lines = solution.mesh.x, solution.mesh.lines
+    return x[lines["trace_edge"]], x[lines["ground_edge"]]
+
+
+def test_gap_surface_field_matches_conformal_mapping(thin_metal_solution):
+    x, phi = thin_metal_solution.mesh.x, thin_metal_solution.phi
+    j0 = thin_metal_solution.mesh.lines["surface"]
+    a, b = _gap_edges(thin_metal_solution)
+    i = np.flatnonzero((x > a + 0.1 * (b - a)) & (x < b - 0.1 * (b - a)))
+    e_x = -(phi[i + 1, j0] - phi[i - 1, j0]) / (x[i + 1] - x[i - 1])
+    # measured -0.09..+0.27% at L2 and +0.01..+0.11% at L3
+    ratio = e_x / cpw_gap_field_conformal(x[i], a, b)
+    assert np.abs(ratio - 1).max() < 0.005
+
+
+def test_thin_layer_p_sa_matches_conformal_integral(thin_metal_solution):
+    t, eps = 2.5e-9, 3.9
+    p_sa = thin_layer_participation(thin_metal_solution, RegionId.SubstrateAir,
+                                    t, eps)
+    # (eps0 t / 2) eps E_x^2 over both gaps, cut off t/4 from each edge as the
+    # rule does; E_y = 0 on the gap surface
+    a, b = _gap_edges(thin_metal_solution)
+    energy = epsilon_0 * t * eps * cpw_gap_field_squared_integral(a, b, t / 4)
+    # measured ratios 0.9555 (L2), 1.0295 (L3), 1.0201 (L4): the rule is not
+    # monotone in the refinement level, so no level is a bound on the next
+    assert p_sa == pytest.approx(energy / thin_metal_solution.total_energy,
+                                 rel=0.05)
 
 
 def test_energy_positivity(ref_solution_l2):

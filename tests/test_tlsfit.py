@@ -152,6 +152,9 @@ def test_sweep_validation():
     with pytest.raises(ConfigError):
         PhotonSweep(n_photon=[1.0, 2.0], q_i=[1e6, 1e6],
                     q_i_sigma=[0, 0], f_r=6e9, temperature=-1.0)
+    with pytest.raises(ConfigError, match="no points"):
+        PhotonSweep(n_photon=[], q_i=[], q_i_sigma=None, f_r=6e9,
+                    temperature=0.01)
 
 
 @pytest.mark.parametrize("field, value", [
