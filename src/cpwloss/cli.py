@@ -274,11 +274,11 @@ _SYNTH = {
               {"F": "f_tan_delta0", "nc": "n_c", "other": "delta_other",
                "fr": "f_r", "temp": "temperature"},
               ("f_tan_delta0", "n_c", "b", "delta_other"),
-              ("f_r", "temperature", "n_min", "n_max"), ("noise_frac", "noise")),
+              ("f_r", "temperature", "n_min", "n_max"), ("noise_frac", "--noise")),
     "--s21": (s21fit.synth_trace, s21fit.write_trace, "trace", "frequency",
               {"fr": "f_r", "ql": "q_l", "qc": "q_c_mag"},
               ("f_r", "q_l", "q_c_mag"), ("phi", "a", "alpha", "tau"),
-              ("snr_db", "snr_db")),
+              ("snr_db", "--snr-db")),
 }
 
 
@@ -307,7 +307,7 @@ def cmd_synth(args):
         if value is not None and value < least:
             raise ConfigError(f"{option}: must be >= {least}, got {value}")
     option, spec = ("--tls", args.tls) if args.s21 is None else ("--s21", args.s21)
-    make, write, noun, axis, aliases, required, optional, noise = _SYNTH[option]
+    make, write, noun, axis, aliases, required, optional, _ = _SYNTH[option]
     params = _parse_kv(option, spec, aliases)
     missing = [k for k in required if k not in params]
     if missing:
@@ -317,7 +317,13 @@ def cmd_synth(args):
         raise ConfigError(f"unknown {option} parameters: {sorted(unknown)}")
     if args.points is not None:
         params["n_points"] = args.points
-    params[noise[0]] = getattr(args, noise[1])
+    for kind, (*_, (keyword, noise_option)) in _SYNTH.items():
+        value = getattr(args, noise_option[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if kind != option:  # each noise option sets one kind's noise
+            raise ConfigError(f"{noise_option} applies to {kind}, not {option}")
+        params[keyword] = value
     try:
         data = make(**params, seed=args.seed)
     except ConfigError as exc:
@@ -443,8 +449,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate synthetic traces or sweeps")
     p.add_argument("--tls", metavar="F=..,nc=..,b=..,other=..")
     p.add_argument("--s21", metavar="fr=..,ql=..,qc=..[,phi=..,a=..,alpha=..,tau=..]")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="fractional Q_i noise for --tls sweeps")
+    p.add_argument("--noise", type=float,
+                   help="fractional Q_i noise for --tls sweeps (default 0)")
     p.add_argument("--snr-db", type=float, default=None,
                    help="signal-to-noise for --s21 traces")
     p.add_argument("--points", type=int, default=None)

@@ -104,10 +104,23 @@ class Mesh:
     # node indices of the conductor grid lines: "axis", "trace_edge",
     # "ground_edge" in x; "surface", "metal_top", "trench_floor" (if any) in y
     lines: dict = field(default_factory=dict)
+    inputs: dict = field(default_factory=dict)  # mesh_inputs() of the stack meshed
 
     @property
     def n_cells(self):
         return (len(self.x) - 1) * (len(self.y) - 1)
+
+
+def mesh_inputs(stack: CpwStack) -> dict:
+    """What `build_mesh` reads of a stack. One mesh, and its solution, serves
+    every stack that agrees on these: the interface layers enter only the
+    post-processing."""
+    inputs = {name: getattr(stack, name) for name in (
+        "trace_width", "gap", "metal_thickness", "trench_depth",
+        "domain_halfwidth", "domain_height_air", "domain_depth_substrate")}
+    inputs["substrate relative_permittivity"] = (
+        stack.materials["substrate"].relative_permittivity)
+    return inputs
 
 
 def build_mesh(stack: CpwStack, refinement_level: int = 1) -> Mesh:
@@ -162,6 +175,7 @@ def build_mesh(stack: CpwStack, refinement_level: int = 1) -> Mesh:
     return Mesh(
         x=x, y=y, eps=eps, region=region,
         dirichlet=dirichlet, dirichlet_value=value, lines=lines,
+        inputs=mesh_inputs(stack),
     )
 
 

@@ -138,7 +138,11 @@ class CpwStack:
                 )
         if self.domain_halfwidth < 10.0 * (self.trace_width + 2.0 * self.gap):
             raise ConfigError("domain_halfwidth must be >= 10 * (w + 2*gap)")
-        for role in ("substrate", "air", "MA_oxide", "SA_oxide"):
+        unknown = sorted(set(self.materials) - set(DEFAULT_MATERIALS))
+        if unknown:
+            raise ConfigError(f"unknown material roles {unknown}; expected "
+                              f"{sorted(DEFAULT_MATERIALS)}")
+        for role in DEFAULT_MATERIALS:
             if role not in self.materials:
                 raise ConfigError(f"missing material for region role {role!r}")
             if not isinstance(self.materials[role], MaterialConstants):
@@ -156,6 +160,7 @@ _LENGTH_KEYS = tuple(f.name for f in fields(CpwStack)
                      if f.name not in ("ma_scale", "materials"))
 # the lengths that may be zero; every other one must be > 0
 _MAY_BE_ZERO = ("trench_depth", "layer_MA_top", "layer_MA_side", "layer_SA")
+_MATERIAL_KEYS = tuple(f.name for f in fields(MaterialConstants))
 
 
 def build_stack(config: dict | None = None, **overrides) -> CpwStack:
@@ -181,6 +186,10 @@ def build_stack(config: dict | None = None, **overrides) -> CpwStack:
                 if not isinstance(spec, dict) or "relative_permittivity" not in spec:
                     raise ConfigError(
                         f"material {role!r} needs a relative_permittivity")
+                unknown = sorted(set(spec) - set(_MATERIAL_KEYS))
+                if unknown:
+                    raise ConfigError(f"material {role!r} has unknown keys "
+                                      f"{unknown}; expected {list(_MATERIAL_KEYS)}")
                 mats[role] = MaterialConstants(
                     name=spec.get("name", role),
                     relative_permittivity=_number(

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MeshError, SolveError
-from .fieldsolve import FieldSolution, build_mesh, epsilon_0, solve_potential
+from .fieldsolve import (FieldSolution, build_mesh, epsilon_0, mesh_inputs,
+                         solve_potential)
 from .geometry import CpwStack, RegionId
 
 # Canonical budget row order, matching the per-chip loss tables.
@@ -188,13 +189,20 @@ def simulate_budget(stack: CpwStack, refinement_level: int = 1,
                     label: str = "") -> ParticipationBudget:
     """Full pipeline: solve the cross section and assemble the loss budget.
 
-    A precomputed FieldSolution for the same bulk geometry may be passed in;
-    interface-layer thicknesses only enter the post-processing, so one solve
-    serves every preset that shares (w, gap, metal thickness, trench).
+    A precomputed FieldSolution for the same bulk cross section may be
+    passed in; interface-layer thicknesses only enter the post-processing,
+    so one solve serves every preset that agrees on `mesh_inputs`. A
+    solution of another cross section is a ConfigError that names the
+    quantity that differs.
     """
     if solution is None:
         mesh = build_mesh(stack, refinement_level)
         solution = solve_potential(mesh)
+    wanted = mesh_inputs(stack)
+    for name, value in solution.mesh.inputs.items():
+        if value != wanted[name]:
+            raise ConfigError(f"the solution was solved for {name} = {value!r}, "
+                              f"the stack has {wanted[name]!r}")
 
     eps_ma = stack.materials["MA_oxide"].relative_permittivity
     eps_sa = stack.materials["SA_oxide"].relative_permittivity

@@ -5,8 +5,10 @@ Model:
     S21(f) = a * exp(i*alpha) * exp(-2*pi*i*f*tau)
              * [1 - (Q_l / |Q_c|) * exp(i*phi) / (1 + 2i*Q_l*(f/f_r - 1))]
 
-Fit pipeline: slope delay and circle fit as start values, with Q_l from the
-area of the dip, then one complex least-squares fit over the seven model
+Fit pipeline: start values from the delay (the least-squares phase slope of
+each end of the span, in closed form) and Taubin's circle fit, by one SVD
+(Chernov, Circular and Linear Regression, CRC 2010), with Q_l from the area
+of the dip; then one complex least-squares fit over the seven model
 parameters; errors from its covariance (Probst et al., Rev. Sci. Instrum.
 86, 024706 (2015)). The diameter correction gives Q_c = |Q_c| / cos(phi), and
 1/Q_i = 1/Q_l - 1/Q_c.
@@ -95,53 +97,39 @@ def notch_model(f, f_r, q_l, q_c_mag, phi=0.0, a=1.0, alpha=0.0, tau=0.0):
 
 
 def _fit_circle_algebraic(z):
-    """Algebraic least-squares circle fit (Taubin, via eigen-problem)."""
-    x, y = z.real, z.imag
-    xm, ym = x.mean(), y.mean()
-    u, v = x - xm, y - ym
-    zsq = u * u + v * v
-    zm = zsq.mean()
-    # Taubin constraint matrix formulation
-    mat = np.array([
-        [np.mean(zsq * zsq), np.mean(zsq * u), np.mean(zsq * v), zm],
-        [np.mean(zsq * u), np.mean(u * u), np.mean(u * v), 0.0],
-        [np.mean(zsq * v), np.mean(u * v), np.mean(v * v), 0.0],
-        [zm, 0.0, 0.0, 1.0],
-    ])
-    cons = np.array([
-        [4 * zm, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-    from scipy.linalg import eig
+    """Taubin's algebraic circle fit by one SVD (Chernov, *Circular and
+    Linear Regression*, CRC 2010).
 
-    w, vecs = eig(mat, cons)
-    w = w.real
-    w[~np.isfinite(w)] = np.inf
-    if not np.any(np.isfinite(w)):
-        raise FitDivergedError("circle fit failed (no valid eigenvalue)")
-    # both matrices are positive semi-definite, so the finite eigenvalues are
-    # >= 0 up to round-off; noiseless data makes the smallest one ~ -eps
-    p = vecs[:, np.argmin(np.abs(w))].real
-    A, B, C, D = p
-    if abs(A) < 1e-300 * max(abs(B), abs(C), 1.0):
+    In coordinates (u, v) centred on the points' mean, with rho^2 = u^2 +
+    v^2 and s^2 = mean(rho^2), Taubin's circle A rho^2 + B u + C v + D = 0
+    has D = -s^2 A, and (2 s A, B, C) is the right singular vector of
+    [(rho^2 - s^2) / (2 s), u, v] for its smallest singular value. As a unit
+    vector, it gives the radius s over its first component.
+    """
+    u, v = z.real - z.real.mean(), z.imag - z.imag.mean()
+    rho2 = u * u + v * v
+    s2 = rho2.mean()  # mean square distance of the points from their mean
+    if not s2 > 0:
+        raise FitDivergedError("circle fit degenerate (all points coincide)")
+    s = np.sqrt(s2)
+    cols = np.stack([(rho2 - s2) / (2 * s), u, v], axis=1)
+    a, b, c = np.linalg.svd(cols, full_matrices=False)[2][-1]
+    # collinear points give a = 0 up to rounding: a line, not a circle; the
+    # bound rejects radii over 1/sqrt(eps) ~ 7e7 times the points' rms spread
+    if abs(a) < np.sqrt(np.finfo(float).eps):
         raise FitDivergedError("circle fit degenerate (points collinear)")
-    cx = -B / (2 * A) + xm
-    cy = -C / (2 * A) + ym
-    r = np.sqrt(B * B + C * C - 4 * A * D) / (2 * abs(A))
-    return complex(cx, cy), r
+    return z.mean() - complex(b, c) * s / a, s / abs(a)
 
 
 def _estimate_delay(f, z):
-    """Cable delay from the phase slope of the outer 20% of points."""
+    """Cable delay from the phase slope of the outer 20% of points: the
+    least-squares slope of each end, over frequencies centred on that end."""
     n = len(f)
     k = max(n // 10, 5)
     phase = np.unwrap(np.angle(z))
-    slopes = []
-    for sl in (slice(0, k), slice(n - k, n)):
-        pf = np.polyfit(f[sl], phase[sl], 1)
-        slopes.append(pf[0])
+    ends = np.stack([np.arange(k), np.arange(n - k, n)])
+    df = f[ends] - f[ends].mean(axis=1, keepdims=True)
+    slopes = (df * phase[ends]).sum(axis=1) / (df * df).sum(axis=1)
     return -np.mean(slopes) / (2 * np.pi)
 
 

@@ -245,7 +245,7 @@ def synth_sweep(f_tan_delta0, n_c, b, delta_other, f_r=6e9, temperature=0.01,
         rng = np.random.default_rng(seed)
         q = q * (1 + noise_frac * rng.standard_normal(n_points))
         if np.any(q <= 0):
-            raise FitDivergedError("noise level too large: non-positive Q_i")
+            raise ConfigError("noise level too large: non-positive Q_i")
         sigma = noise_frac * q
     else:
         sigma = np.zeros_like(q)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from cpwloss.cli import main
+from cpwloss.s21fit import read_trace, synth_trace
 
 
 def run(argv):
@@ -96,8 +98,12 @@ def test_simulate_bad_config(tmp_path):
     ("materials:\n  substrate:\n    relative_permittivity: abc\n",
      "relative_permittivity"),
     ("materials: 3\n", "materials"),
+    ("materials:\n  MA_oxid:\n    relative_permittivity: 25\n", "'MA_oxid'"),
+    ("materials:\n  MA_oxide:\n    relative_permittivity: 25\n"
+     "    loss_tangnet: 5.0e-3\n", "'loss_tangnet'"),
 ], ids=["missing-permittivity", "non-numeric-ma-scale",
-        "non-numeric-permittivity", "materials-not-mapping"])
+        "non-numeric-permittivity", "materials-not-mapping", "unknown-role",
+        "unknown-material-key"])
 def test_simulate_malformed_config_is_input_error(tmp_path, capsys, text,
                                                   expected):
     cfg = tmp_path / "bad.yaml"
@@ -296,12 +302,17 @@ TLS_SPEC, S21_SPEC = "F=1e-6,nc=10,b=0.4,other=5e-8", "fr=6e9,ql=5e5,qc=1e6"
     (["simulate", "--config", "{config}", "--preset", "500C", "--refinement", "1"],
      "--preset"),
     (["simulate", "--treatment", "hf_treated", "--refinement", "1"], "--treatment"),
+    (["synth", "--s21", S21_SPEC, "--noise", "0.5"], "--noise"),
+    (["synth", "--tls", TLS_SPEC, "--snr-db", "40"], "--snr-db"),
+    (["synth", "--tls", TLS_SPEC, "--noise", "2", "--seed", "1"],
+     "--tls: noise level too large"),
 ], ids=["tls-points-negative", "s21-points-negative", "tls-points-zero",
         "seed-negative", "noise-negative", "s21-q-l-zero", "s21-q-c-negative",
         "s21-key-twice", "s21-alias-and-name", "tls-key-twice",
         "budget-entry-region-twice", "budget-input-region-twice",
         "simulate-refinement-zero", "simulate-refinement-negative",
-        "tables-refinement-zero", "config-and-preset", "treatment-alone"])
+        "tables-refinement-zero", "config-and-preset", "treatment-alone",
+        "noise-with-s21", "snr-db-with-tls", "tls-noise-too-large"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, expected):
     config = tmp_path / "stack.yaml"
     config.write_text("trace_width: 10 um\ngap: 4.5 um\n")
@@ -317,6 +328,29 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, expected):
     assert err.startswith("error:") and err.count("\n") == 1
     assert expected in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_fit_s21_magphase_matches_reim(tmp_path):
+    trace = synth_trace(6e9, 5e5, 1e6, phi=0.1, a=0.9, alpha=0.3, tau=4e-8,
+                        snr_db=40, seed=3)
+    reim, magphase = tmp_path / "reim.csv", tmp_path / "magphase.csv"
+    for path, header, cols in (
+            (reim, "freq_hz,re,im", (trace.s21.real, trace.s21.imag)),
+            (magphase, "freq_hz,mag_db,phase_rad",
+             (20 * np.log10(np.abs(trace.s21)), np.angle(trace.s21)))):
+        rows = np.column_stack([trace.frequency, *cols])
+        path.write_text(header + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
+    back = read_trace(magphase, fmt="magphase")
+    assert np.array_equal(back.frequency, trace.frequency)
+    assert np.max(np.abs(back.s21 - trace.s21)) < 1e-12
+    fits = []
+    for path, fmt in ((reim, "reim"), (magphase, "magphase")):
+        out = tmp_path / f"{fmt}.json"
+        assert run(["fit-s21", str(path), "--format", fmt, "--output", str(out)]) == 0
+        fits.append(load(out)[0])
+    for key in ("f_r", "q_l", "q_c", "q_i", "phi", "a", "alpha_c", "tau"):
+        assert fits[1][key] == pytest.approx(fits[0][key], rel=1e-8, abs=1e-12)
 
 
 def _flat_trace(path):

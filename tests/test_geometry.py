@@ -119,8 +119,16 @@ def test_permittivity_below_one_rejected():
     ({"materials": {"substrate": {"relative_permittivity": "abc"}}},
      "'substrate' relative_permittivity must be a number"),
     ({"materials": 3}, "materials must map"),
+    ({"materials": {"MA_oxid": {"relative_permittivity": 25}}},
+     r"unknown material roles \['MA_oxid'\]"),
+    ({"materials": {"SA_oxid": MaterialConstants("SiO2", 3.9, 1.7e-3)}},
+     r"unknown material roles \['SA_oxid'\]"),
+    ({"materials": {"MA_oxide": {"relative_permittivity": 25,
+                                 "loss_tangnet": 5e-3}}},
+     r"'MA_oxide' has unknown keys \['loss_tangnet'\]"),
 ], ids=["missing-permittivity", "non-numeric-ma-scale",
-        "non-numeric-permittivity", "materials-not-mapping"])
+        "non-numeric-permittivity", "materials-not-mapping", "unknown-role",
+        "unknown-role-constants", "unknown-material-key"])
 def test_malformed_config_is_config_error(config, field):
     # never a KeyError, ValueError or AttributeError with a traceback
     with pytest.raises(ConfigError, match=field):

@@ -32,15 +32,31 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def loaded_after(tmp_path, *commands):
+# the S21 fit's start values on one synthetic trace
+START_PROBE = """
+import json, sys
+from cpwloss import s21fit
+t = s21fit.synth_trace(6e9, 5e5, 1e6, phi=0.1, tau=4e-8, snr_db=40, seed=1)
+s21fit._start_values(t.frequency, t.s21, abs(t.s21))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "yaml"))))
+"""
+
+
+def loaded_by(tmp_path, probe, *args):
+    """The scipy and yaml modules that `probe` loads in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", probe, *args],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_after(tmp_path, *commands):
+    return loaded_by(tmp_path, PROBE, json.dumps(commands))
 
 
 def test_import_loads_no_scipy_or_yaml(tmp_path):
@@ -65,6 +81,11 @@ def test_commands_without_solve_or_fit_load_no_scipy(tmp_path):
          "--entry", "air:0.088:0", "--output", "budget.json"],
         ["stats", str(records), "--chip", "c", "--output", "stats.json"],
     ) == set()
+
+
+def test_s21_start_values_load_no_scipy(tmp_path):
+    # the circle fit and the delay slope are numpy alone
+    assert loaded_by(tmp_path, START_PROBE) == set()
 
 
 def test_simulate_loads_sparse_solver_but_not_optimize(tmp_path):

@@ -233,3 +233,24 @@ def test_simulate_budget_hf_notes(ref_solution_l3):
     budget = simulate_budget(stack, solution=ref_solution_l3)
     assert budget.entry("substrate_air").contribution == 0.0
     assert any("scaled" in note for note in budget.notes)
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({"materials": {"substrate": {"relative_permittivity": 3.0}}},
+     "substrate relative_permittivity"),
+    ({"gap": "6 um"}, "gap"),
+    ({"trench_depth": "1 um"}, "trench_depth"),
+], ids=["substrate-permittivity", "gap", "trench-depth"])
+def test_simulate_budget_rejects_another_cross_sections_solution(
+        ref_stack, ref_solution_l2, overrides, name):
+    stack = build_stack(ref_stack.to_config(), **overrides)
+    with pytest.raises(ConfigError, match=f"solved for {name} = "):
+        simulate_budget(stack, solution=ref_solution_l2)
+
+
+def test_budget_on_its_own_trenched_solve():
+    # as in a sweep of cross sections: each solve budgets its own stack
+    stack = build_stack(trench_depth="1 um")
+    solution = solve_potential(build_mesh(stack, 1))
+    budget = simulate_budget(stack, solution=solution)
+    assert budget.entry("substrate_air").participation > 0

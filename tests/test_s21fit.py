@@ -1,5 +1,6 @@
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.constants import hbar
 
 from cpwloss import ResonatorFit, S21Trace, fit_s21, notch_model, photon_number, synth_trace
-from cpwloss.errors import ConfigError, FitDivergedError, NoDipFoundError
+from cpwloss.errors import ConfigError, FitDivergedError, FitError, NoDipFoundError
 from cpwloss.s21fit import _fit_circle_algebraic, _start_values, read_trace, write_trace
 
 
@@ -28,6 +29,70 @@ def test_notch_model_circle_diameter():
     z = notch_model(f, f_r, q_l, q_c)
     _, radius = _fit_circle_algebraic(z)
     assert 2 * radius == pytest.approx(q_l / q_c, rel=1e-4)
+
+
+def _taubin_reference(z, digits=50):
+    """Taubin's circle fit at `digits` significant digits, by another route
+    than the SVD: centred moments, the smallest root of the characteristic
+    cubic of the Taubin pencil, then the centre in closed form (Chernov,
+    *Circular and Linear Regression*, CRC 2010, the Taubin-Newton fit)."""
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(float(v)) for v in z.real]
+        y = [mpmath.mpf(float(v)) for v in z.imag]
+        n = len(x)
+        xm, ym = mpmath.fsum(x) / n, mpmath.fsum(y) / n
+        u, v = [a - xm for a in x], [b - ym for b in y]
+        w = [a * a + b * b for a, b in zip(u, v)]
+
+        def mean(p, q):
+            return mpmath.fsum(a * b for a, b in zip(p, q)) / n
+
+        mxx, myy, mxy = mean(u, u), mean(v, v), mean(u, v)
+        mxz, myz, mzz = mean(u, w), mean(v, w), mean(w, w)
+        mz = mxx + myy
+        cov, var_z = mxx * myy - mxy**2, mzz - mz**2
+        cubic = [4 * mz, -3 * mz**2 - mzz,
+                 var_z * mz + 4 * cov * mz - mxz**2 - myz**2,
+                 mxz * (mxz * myy - myz * mxy) + myz * (myz * mxx - mxz * mxy)
+                 - var_z * cov]
+        # the roots are the pencil's eigenvalues: real and >= 0
+        eta = min(mpmath.re(r) for r in mpmath.polyroots(
+            cubic, maxsteps=200, extraprec=4 * digits))
+        det = 2 * (eta**2 - eta * mz + cov)
+        cx = (mxz * (myy - eta) - myz * mxy) / det
+        cy = (myz * (mxx - eta) - mxz * mxy) / det
+        return (complex(float(cx + xm), float(cy + ym)),
+                float(mpmath.sqrt(cx**2 + cy**2 + mz)))
+
+
+def test_circle_fit_matches_high_precision_taubin():
+    # noisy arcs of 30-360 degrees, noise 1e-6 to 1e-1 of the radius
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(100):
+        arc = np.deg2rad(rng.uniform(30, 360))
+        noise = 10 ** rng.uniform(-6, -1)
+        r, c = 10 ** rng.uniform(-3, 0), complex(*rng.normal(size=2))
+        t = rng.uniform(0, 2 * np.pi) + np.linspace(0, arc, 60)
+        z = c + r * (np.exp(1j * t) + noise * (rng.standard_normal(60)
+                                               + 1j * rng.standard_normal(60)))
+        c_ref, r_ref = _taubin_reference(z)
+        center, radius = _fit_circle_algebraic(z)
+        worst = max(worst, abs(center - c_ref) / r_ref, abs(radius - r_ref) / r_ref)
+    assert worst < 1e-10
+
+
+def test_circle_fit_rejects_collinear_points():
+    z = 0.3 + (1 + 2j) * np.linspace(0, 1, 60)
+    with pytest.raises(FitDivergedError, match="collinear"):
+        _fit_circle_algebraic(z)
+
+
+def test_all_zero_trace_is_a_fit_error():
+    # its baseline is 0, so it passes the dip gate; the circle fit stops it
+    trace = S21Trace(np.linspace(6e9, 6.001e9, 200), np.zeros(200))
+    with pytest.raises(FitError):
+        fit_s21(trace)
 
 
 def test_round_trip_noiseless_documented_example():
