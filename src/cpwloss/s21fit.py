@@ -13,13 +13,13 @@ parameters; errors from its covariance (Probst et al., Rev. Sci. Instrum.
 86, 024706 (2015)). The diameter correction gives Q_c = |Q_c| / cos(phi), and
 1/Q_i = 1/Q_l - 1/Q_c.
 
-The fit is MINPACK's Levenberg-Marquardt `lmder` (More, LNM 630 (1978)),
-called through `scipy.optimize.leastsq` with every setting written out:
-ftol=1e-8, xtol=1e-15, gtol=1e-15, maxfev=700 (100 per parameter),
-factor=100 and diag=None (MINPACK scales each column by its norm, mode 1).
-They are written out because scipy's defaults are not stable: scipy 1.16
-changed the column scaling of `least_squares(method="lm")` (`x_scale` 1.0 ->
-"jac"), and no scipy version is pinned.
+The fit is a numpy Levenberg-Marquardt (`_lm.levenberg_marquardt`, shared
+with the TLS fit) with Moré's column scaling (Moré, LNM 630 (1978)). It
+works on the complex residual: J^T J and J^T r of the real problem are
+Re(J^H J) and Re(J^H d) of the complex 7-column Jacobian J. It ends on
+MINPACK's cost test (ftol=1e-8) or step test (xtol=1e-15), with at most
+700 evaluations (100 per parameter); `status` numbers the test that ended
+it as MINPACK does (1 cost, 2 step, 3 both).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lm import levenberg_marquardt
 from .errors import ConfigError, FitDivergedError, IllConditionedError, NoDipFoundError
 
 hbar = 1.0545718176461565e-34  # J s, h / (2 pi) (scipy.constants.hbar)
@@ -75,7 +76,7 @@ class ResonatorFit:
     alpha_c: float = 0.0  # environment phase at the span centre, rad
     alpha_c_err: float = 0.0
     nfev: int = 0  # model evaluations of the least-squares fit
-    status: int = 0  # MINPACK info 1-4: the convergence test that ended the fit
+    status: int = 0  # the test that ended the fit: 1 cost, 2 step, 3 both
     start: tuple = ()  # start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau)
     reduced_chi2: float = np.nan  # 2 * cost / dof of that fit
     label: str = ""
@@ -167,8 +168,6 @@ def _start_values(f, z, mag):
 
 def fit_s21(trace: S21Trace) -> ResonatorFit:
     """Extract (f_r, Q_l, Q_c, Q_i) and environment parameters from a trace."""
-    from scipy.optimize import leastsq
-
     f = trace.frequency
     z = trace.s21
 
@@ -177,7 +176,8 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     depth = baseline - mag.min()
     # noise floor from first differences of the magnitude
     noise = np.std(np.diff(mag)) / np.sqrt(2)
-    if depth < max(5 * noise, 1e-6 * baseline):
+    # `not >` also stops a trace without signal (0 > 0 is false) and a NaN
+    if not depth > max(5 * noise, 1e-6 * baseline):
         raise NoDipFoundError("no resonance dip found in trace")
 
     start = _start_values(f, z, mag)
@@ -192,58 +192,39 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     tau_unit = 1 / (2 * np.pi * (f[-1] - f[0]))
     x0 = [0.0, 1.0, 1.0, phi0, 1.0, alpha0 - 2 * np.pi * fc * tau0, 0.0]
 
-    memo = {}  # the last parameter vector's model parts and, once asked, Jacobian
-
-    def parts(p):
-        key = p.tobytes()
-        if key not in memo:
-            f_r = f_r0 + p[0] * lw0
-            q_l, q_c_mag = q_l0 * p[1], q_c0 * p[2]
-            env = a0 * p[4] * np.exp(1j * (p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit)))
-            den = 1 + 2j * q_l * (f / f_r - 1)
-            g = (q_l / q_c_mag) * np.exp(1j * p[3]) / den
-            memo.clear()
-            memo[key] = {"model": (env, g, den, f_r, q_l)}
-        return memo[key]
-
-    def resid(p):
-        env, g, *_ = parts(p)["model"]
-        d = env * (1 - g) - z
-        return np.concatenate([d.real, d.imag])
-
-    def jac(p):
-        cached = parts(p)
-        if "jac" in cached:  # leastsq asks twice at x0, the covariance once more
-            return cached["jac"]
-        env, g, den, f_r, q_l = cached["model"]
-        eg = env * g
+    def evaluate(p):
+        """|d|^2 of the complex residual d, and Re(J^H J), Re(J^H d)."""
+        f_r = f_r0 + p[0] * lw0
+        q_l, q_c_mag = q_l0 * p[1], q_c0 * p[2]
+        env = a0 * p[4] * np.exp(1j * (p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit)))
+        den = 1 + 2j * q_l * (f / f_r - 1)
+        eg = env * (q_l / q_c_mag) * np.exp(1j * p[3]) / den
         model = env - eg
-        cols = np.stack([
-            -2j * lw0 * q_l * f / f_r**2 * eg / den,  # f_r offset
-            -eg / (p[1] * den),  # Q_l ratio
-            eg / p[2],  # |Q_c| ratio
-            -1j * eg,  # phi
-            model / p[4],  # a ratio
-            1j * model,  # alpha at fc
-            -2j * np.pi * tau_unit * df * model,  # tau offset
-        ], axis=1)
-        cached["jac"] = np.concatenate([cols.real, cols.imag])
-        return cached["jac"]
+        d = model - z
 
-    # The problem has no bounds, so MINPACK's Levenberg-Marquardt (lmder)
-    # solves it without trf's SVD of the Jacobian at every step. MINPACK
-    # needs every tolerance above machine epsilon. gtol=1e-15 keeps the
-    # gradient test in effect off: on a clean trace the gradient vanishes
-    # before the parameters settle. A looser xtol stops clean fits short of
-    # the exact answer, so the fit ends on xtol=1e-15 or on the cost (ftol).
-    # maxfev (100 per parameter), factor and diag are MINPACK's usual values,
-    # written out because scipy's defaults have moved (module docstring).
-    # full_output=True returns the status instead of warning on a failure.
-    p, _, info, msg, status = leastsq(
-        resid, x0, Dfun=jac, full_output=True, ftol=1e-8, xtol=1e-15,
-        gtol=1e-15, maxfev=700, factor=100.0, diag=None)
-    if status not in (1, 2, 3, 4):
-        raise FitDivergedError(f"S21 fit did not converge: {msg}")
+        def normal():
+            jac = np.stack([
+                -2j * lw0 * q_l * f / f_r**2 * eg / den,  # f_r offset
+                -eg / (p[1] * den),  # Q_l ratio
+                eg / p[2],  # |Q_c| ratio
+                -1j * eg,  # phi
+                model / p[4],  # a ratio
+                1j * model,  # alpha at fc
+                -2j * np.pi * tau_unit * df * model,  # tau offset
+            ], axis=1)
+            jh = jac.conj().T
+            return (jh @ jac).real, (jh @ d).real
+
+        return np.vdot(d, d).real, normal
+
+    # the fit ends when a step lowers the cost by at most 1e-8 relative (and
+    # predicts no more), or when the step is at the rounding level of the
+    # parameters, as on a noiseless trace
+    sol = levenberg_marquardt(evaluate, x0, ftol=1e-8, xtol=1e-15, maxfev=700)
+    if not sol.status:
+        raise FitDivergedError(
+            f"S21 fit did not converge in {sol.nfev} evaluations")
+    p = sol.x
     f_r, q_l, q_c_mag, a = f_r0 + p[0] * lw0, q_l0 * p[1], q_c0 * p[2], a0 * p[4]
     if q_l <= 0 or q_c_mag <= 0 or a <= 0 or not f[0] <= f_r <= f[-1]:
         raise FitDivergedError(
@@ -266,10 +247,9 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
 
     # covariance of the fit, carried linearly to f_r, Q_l, Q_c, Q_i, alpha, tau
     dof = max(2 * len(f) - len(p), 1)
-    s_sq = np.dot(info["fvec"], info["fvec"]) / dof
-    j = jac(p)
+    s_sq = sol.cost / dof
     try:
-        cov = np.linalg.inv(j.T @ j) * s_sq
+        cov = np.linalg.inv(sol.jtj) * s_sq
     except np.linalg.LinAlgError:
         cov = np.full((len(p), len(p)), np.nan)
     d_f_r = np.array([lw0, 0, 0, 0, 0, 0, 0])
@@ -288,7 +268,7 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
         f_r_err=f_r_err, q_l_err=q_l_err, q_c_err=q_c_err, q_i_err=q_i_err,
         alpha_err=alpha_err, tau_err=tau_err,
         alpha_c=alpha_c, alpha_c_err=float(np.sqrt(np.abs(cov[5, 5]))),
-        nfev=int(info["nfev"]), status=int(status),
+        nfev=sol.nfev, status=sol.status,
         start=tuple(float(v) for v in start), reduced_chi2=float(s_sq),
         label=trace.label,
     )

@@ -9,7 +9,10 @@ The four parameters are the saturable loss amplitude F_tan_delta0, the
 critical photon number n_c, the saturation exponent b (0.5 for
 non-interacting defects, below 0.5 with defect-defect interactions) and the
 power-independent loss delta_other. The fit runs in log(1/Q_i) coordinates
-to balance the many decades a power sweep spans.
+to balance the many decades a power sweep spans, by the numpy
+Levenberg-Marquardt the S21 fit uses (`_lm.levenberg_marquardt`), kept inside
+the box BOUNDS_LOW..BOUNDS_HIGH; a fit that ends on the b or n_c bound is
+flagged `parameter-at-bound`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lm import levenberg_marquardt
 from .errors import ConfigError, FitDivergedError
 
 h = 6.62607015e-34  # J s, exact SI value (scipy.constants.h)
@@ -77,6 +81,8 @@ class TlsFit:
     delta_other_err: float = 0.0
     reduced_chi2: float = float("nan")
     flags: tuple = ()
+    nfev: int = 0  # model evaluations of the least-squares fit
+    status: int = 0  # the test that ended it: 1 cost, 2 step, 3 both; 0 no fit
     f_r: float = 0.0
     temperature: float = 0.0
     chip: str = ""
@@ -119,8 +125,6 @@ def _unpack(params):
 
 def fit_tls(sweep: PhotonSweep) -> TlsFit:
     """Weighted nonlinear least-squares fit of the loss model to a sweep."""
-    from scipy.optimize import least_squares
-
     n = sweep.n_photon
     q = sweep.q_i
     inv_q = 1.0 / q
@@ -149,29 +153,34 @@ def fit_tls(sweep: PhotonSweep) -> TlsFit:
     x0 = np.clip(np.array([f00, nc0, 0.5, other0]),
                  BOUNDS_LOW + 1e-300, BOUNDS_HIGH)
 
-    # weights: sigma(log 1/Q) = sigma_Q / Q
-    if np.all(sweep.q_i_sigma > 0):
-        wt = q / sweep.q_i_sigma
-        wt = wt / wt.mean()
-    else:
-        wt = np.ones_like(q)
+    # weights: sigma(log 1/Q) = sigma_Q / Q, taken over its smallest value so
+    # that tiny uncertainties cannot overflow
+    rel = sweep.q_i_sigma / q
+    weighted = np.all(rel > 0)
+    wt = rel.min() / rel if weighted else np.ones_like(q)
+    wt = wt / wt.mean()
 
-    def resid(p):
+    log_inv_q = np.log(inv_q)
+
+    def evaluate(p):
         model = tls_inverse_q(p, n, sweep.temperature, sweep.f_r)
-        return wt * (np.log(model) - np.log(inv_q))
+        if not np.all(model > 0):
+            return np.inf, None  # F = delta_other = 0 at the box's corner
+        r = wt * (np.log(model) - log_inv_q)
 
-    def jac(p):
-        model = tls_inverse_q(p, n, sweep.temperature, sweep.f_r)
-        return (wt / model)[:, None] * tls_jacobian(
-            p, n, sweep.temperature, sweep.f_r
-        )
+        def normal():
+            jac = (wt / model)[:, None] * tls_jacobian(
+                p, n, sweep.temperature, sweep.f_r)
+            return jac.T @ jac, jac.T @ r
 
-    sol = least_squares(resid, x0=x0, jac=jac,
-                        bounds=(BOUNDS_LOW, BOUNDS_HIGH),
-                        x_scale=np.maximum(np.abs(x0), 1e-12),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    if not sol.success or not np.all(np.isfinite(sol.x)):
-        raise FitDivergedError(f"TLS fit did not converge: {sol.message}")
+        return r @ r, normal
+
+    # every trial point stays in the box; maxfev is 100 per parameter
+    sol = levenberg_marquardt(evaluate, x0, ftol=1e-14, xtol=1e-14, maxfev=400,
+                              lower=BOUNDS_LOW, upper=BOUNDS_HIGH)
+    if not sol.status:
+        raise FitDivergedError(
+            f"TLS fit did not converge in {sol.nfev} evaluations")
     f0, n_c, b, other = sol.x
 
     at_bound = (
@@ -182,19 +191,20 @@ def fit_tls(sweep: PhotonSweep) -> TlsFit:
         flags.append("parameter-at-bound")
 
     dof = max(len(n) - 4, 1)
-    s_sq = 2 * sol.cost / dof
-    jtj = sol.jac.T @ sol.jac
+    s_sq = sol.cost / dof
     try:
-        cov = np.linalg.inv(jtj) * s_sq
+        cov = np.linalg.inv(sol.jtj) * s_sq
         errs = np.sqrt(np.abs(np.diag(cov)))
     except np.linalg.LinAlgError:
         errs = np.full(4, np.nan)
 
     # goodness of fit in linear 1/Q space with the supplied uncertainties
-    if np.all(sweep.q_i_sigma > 0):
-        sigma_inv = sweep.q_i_sigma / q**2
+    if weighted:
+        # (model - 1/Q) / (sigma_Q / Q^2); uncertainties far below the misfit
+        # give chi^2 = inf
         model = tls_inverse_q(sol.x, n, sweep.temperature, sweep.f_r)
-        chi2 = float(np.sum(((model - inv_q) / sigma_inv) ** 2)) / dof
+        with np.errstate(over="ignore"):
+            chi2 = float(np.sum(((model * q - 1) / rel) ** 2)) / dof
     else:
         chi2 = float("nan")
 
@@ -203,7 +213,7 @@ def fit_tls(sweep: PhotonSweep) -> TlsFit:
         delta_other=float(other),
         f_tan_delta0_err=float(errs[0]), n_c_err=float(errs[1]),
         b_err=float(errs[2]), delta_other_err=float(errs[3]),
-        reduced_chi2=chi2, flags=tuple(flags),
+        reduced_chi2=chi2, flags=tuple(flags), nfev=sol.nfev, status=sol.status,
         f_r=sweep.f_r, temperature=sweep.temperature,
         chip=sweep.chip, resonator=sweep.resonator,
     )

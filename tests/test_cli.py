@@ -25,8 +25,8 @@ ENTRY_KEYS = {"region", "participation", "loss_tangent", "contribution"}
 TLS_KEYS = {
     "chip", "resonator", "f_r", "temperature", "f_tan_delta0",
     "f_tan_delta0_err", "n_c", "n_c_err", "b", "b_err", "delta_other",
-    "delta_other_err", "reduced_chi2", "flags", "input", "q_i_low", "q_i_high",
-    "q_i_low_extrapolated",
+    "delta_other_err", "reduced_chi2", "flags", "nfev", "status", "input",
+    "q_i_low", "q_i_high", "q_i_low_extrapolated",
 }
 
 
@@ -217,6 +217,7 @@ def test_synth_fit_tls_round_trip(tmp_path, capsys):
     assert run(["fit-tls", str(sweep), "--output", str(out)]) == 0
     rec = load(out)[0]
     assert set(rec) == TLS_KEYS
+    assert rec["nfev"] > 0 and rec["status"] in (1, 2, 3)
     assert rec["f_tan_delta0"] == pytest.approx(1e-6, rel=0.01)
     assert rec["n_c"] == pytest.approx(10.0, rel=0.01)
     assert rec["b"] == pytest.approx(0.4, rel=0.01)
@@ -552,6 +553,7 @@ def test_flat_sweep_record_round_trips_through_stats(tmp_path):
     rec = load(fit)[0]
     assert set(rec) == TLS_KEYS
     assert rec["reduced_chi2"] is None
+    assert rec["nfev"] == 0 and rec["status"] == 0  # no least-squares fit ran
     assert "insufficient-span" in rec["flags"]
     out = tmp_path / "summary.json"
     assert run(["stats", str(fit), "--chip", "flat", "--output", str(out)]) == 0

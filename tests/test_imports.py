@@ -43,6 +43,24 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
+# the measurement chain in one process: S21 fits at several powers, their
+# photon numbers, the TLS fit of that sweep and its Q_i endpoints
+FIT_PROBE = """
+import json, sys
+import numpy as np
+from cpwloss import PhotonSweep, fit_s21, fit_tls, photon_number, q_low_high, synth_trace
+points = []
+for k, power in enumerate((-150.0, -130.0, -110.0)):
+    fit = fit_s21(synth_trace(6e9, 4e5, 8e5, phi=0.1, tau=4e-8, snr_db=45, seed=k))
+    points.append((photon_number(power, fit), fit.q_i * (1 + k), fit.q_i_err))
+n, q, sigma = (np.array(v) for v in zip(*points))
+sweep = PhotonSweep(n, q, sigma, 6e9, 0.01)
+q_low_high(fit_tls(sweep), sweep)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "yaml"))))
+"""
+
+
 def loaded_by(tmp_path, probe, *args):
     """The scipy and yaml modules that `probe` loads in a fresh interpreter."""
     env = dict(os.environ)
@@ -63,7 +81,7 @@ def test_import_loads_no_scipy_or_yaml(tmp_path):
     assert loaded_after(tmp_path) == set()
 
 
-def test_commands_without_solve_or_fit_load_no_scipy(tmp_path):
+def test_commands_without_solve_load_no_scipy(tmp_path):
     records = tmp_path / "tls.json"
     records.write_text(json.dumps([
         {"f_tan_delta0": 1e-6, "f_tan_delta0_err": 1e-7, "n_c": 10.0,
@@ -80,12 +98,19 @@ def test_commands_without_solve_or_fit_load_no_scipy(tmp_path):
         ["budget", "--entry", "substrate:0.911:1.3e-7",
          "--entry", "air:0.088:0", "--output", "budget.json"],
         ["stats", str(records), "--chip", "c", "--output", "stats.json"],
+        ["fit-s21", "trace.csv", "--power-dbm", "-140", "--output", "s21.json"],
+        ["fit-tls", "sweep.csv", "--output", "fit.json"],
     ) == set()
 
 
 def test_s21_start_values_load_no_scipy(tmp_path):
     # the circle fit and the delay slope are numpy alone
     assert loaded_by(tmp_path, START_PROBE) == set()
+
+
+def test_fit_chain_loads_no_scipy(tmp_path):
+    # both fits run on the numpy Levenberg-Marquardt
+    assert loaded_by(tmp_path, FIT_PROBE) == set()
 
 
 def test_simulate_loads_sparse_solver_but_not_optimize(tmp_path):

@@ -2,11 +2,13 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import example, given, settings, strategies as st
 
 from cpwloss import PhotonSweep, fit_tls, q_low_high, synth_sweep, tls_inverse_q
 from cpwloss.errors import ConfigError
 from cpwloss.tlsfit import (
-    read_sweep, thermal_factor, tls_jacobian, write_sweep,
+    BOUNDS_HIGH, BOUNDS_LOW, read_sweep, thermal_factor, tls_jacobian, write_sweep,
 )
 
 TRUE = dict(f_tan_delta0=1.0e-6, n_c=10.0, b=0.4, delta_other=5e-8)
@@ -86,6 +88,79 @@ def test_noise_monte_carlo_3pct():
         if abs(fit.f_tan_delta0 - TRUE["f_tan_delta0"]) / TRUE["f_tan_delta0"] < 0.10:
             hits += 1
     assert hits >= 90
+
+
+def test_b_beyond_its_bound_ends_on_it():
+    sweep = synth_sweep(f_tan_delta0=1e-6, n_c=10.0, b=1.5, delta_other=5e-8)
+    fit = fit_tls(sweep)
+    assert fit.b == BOUNDS_HIGH[2]
+    assert "parameter-at-bound" in fit.flags
+    assert fit.status in (1, 2, 3) and fit.nfev > 0
+
+
+def test_n_c_below_its_bound_ends_on_it():
+    # n_c = 1e-4 is far below the lowest photon number: only F n_c^b is
+    # seen, and the best fit lies beyond the bound at 1e-3
+    sweep = synth_sweep(f_tan_delta0=1e-6, n_c=1e-4, b=0.4, delta_other=5e-8)
+    fit = fit_tls(sweep)
+    assert fit.n_c == BOUNDS_LOW[1]
+    assert "parameter-at-bound" in fit.flags
+
+
+def _trf_fit(sweep):
+    """fit_tls's problem (start, weights, log residual, Jacobian, box) solved
+    by scipy's trf with the settings fit_tls once used; returns the solution
+    and the residual function."""
+    n, q = sweep.n_photon, sweep.q_i
+    inv_q = 1 / q
+    x0 = np.clip([inv_q.max() - inv_q.min(), np.exp(np.median(np.log(n))), 0.5,
+                  inv_q.min()], BOUNDS_LOW + 1e-300, BOUNDS_HIGH)
+    rel = sweep.q_i_sigma / q
+    wt = rel.min() / rel if np.all(rel > 0) else np.ones_like(q)
+    wt = wt / wt.mean()
+
+    def resid(p):
+        model = tls_inverse_q(p, n, sweep.temperature, sweep.f_r)
+        return wt * (np.log(model) - np.log(inv_q))
+
+    def jac(p):
+        model = tls_inverse_q(p, n, sweep.temperature, sweep.f_r)
+        return (wt / model)[:, None] * tls_jacobian(p, n, sweep.temperature, sweep.f_r)
+
+    sol = scipy.optimize.least_squares(
+        resid, x0, jac=jac, bounds=(BOUNDS_LOW, BOUNDS_HIGH),
+        x_scale=np.maximum(np.abs(x0), 1e-12), xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    return sol, resid
+
+
+def _at_bound(p):
+    _, n_c, b, _ = p
+    return bool(b >= BOUNDS_HIGH[2] - 1e-9 or b <= BOUNDS_LOW[2] + 1e-9
+                or n_c >= BOUNDS_HIGH[1] * (1 - 1e-9)
+                or n_c <= BOUNDS_LOW[1] * (1 + 1e-9))
+
+
+# the published range that the benchmark's generator also draws from; the
+# example's subnormal noise once overflowed the weights q / sigma
+@example(log_f=-6.0, log_n_c=1.0, b=0.4, log_other=-7.0,
+         noise=2.2250738585072014e-309, n_points=5, seed=0)
+@settings(max_examples=60, deadline=None)
+@given(log_f=st.floats(-6.5, -5.5), log_n_c=st.floats(0.0, 2.0),
+       b=st.floats(0.2, 0.5), log_other=st.floats(np.log10(5e-8), np.log10(3e-7)),
+       noise=st.floats(0.0, 0.05), n_points=st.integers(5, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_trf(log_f, log_n_c, b, log_other, noise, n_points, seed):
+    sweep = synth_sweep(10**log_f, 10**log_n_c, b, 10**log_other,
+                        n_points=n_points, noise_frac=noise, seed=seed)
+    fit = fit_tls(sweep)
+    sol, resid = _trf_fit(sweep)
+    assert sol.success
+    ours = resid([fit.f_tan_delta0, fit.n_c, fit.b, fit.delta_other])
+    # residual norms, up to the rounding of the log model: 2 eps |log 1/Q|
+    rounding = np.linalg.norm(2 * np.finfo(float).eps * np.log(sweep.q_i))
+    assert np.linalg.norm(ours) <= np.sqrt(2 * sol.cost * (1 + 1e-9)) + rounding
+    assert ("parameter-at-bound" in fit.flags) == _at_bound(sol.x)
+    assert fit.f_tan_delta0 == pytest.approx(sol.x[0], rel=1e-6)
 
 
 def test_reduced_chi2_on_matched_noise():
