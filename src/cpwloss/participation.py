@@ -49,7 +49,6 @@ class BudgetEntry:
 class ParticipationBudget:
     entries: tuple
     label: str = ""
-    notes: tuple = ()
 
     @property
     def total(self) -> float:
@@ -153,8 +152,8 @@ def thin_layer_participation(solution: FieldSolution, layer_region: RegionId,
     return energy / solution.total_energy
 
 
-def loss_budget(participations, loss_tangents, label: str = "",
-                notes=()) -> ParticipationBudget:
+def loss_budget(participations, loss_tangents,
+                label: str = "") -> ParticipationBudget:
     """Assemble a budget from (region -> p_i) and (region -> tan_delta)."""
     participations = dict(participations)
     if not participations:
@@ -173,7 +172,7 @@ def loss_budget(participations, loss_tangents, label: str = "",
         entries.append(BudgetEntry(region, p, tan))
     order = {r: k for k, r in enumerate(ROW_ORDER)}
     entries.sort(key=lambda e: order.get(e.region, len(order)))
-    return ParticipationBudget(tuple(entries), label=label, notes=tuple(notes))
+    return ParticipationBudget(tuple(entries), label=label)
 
 
 def budget_shares(budget: ParticipationBudget) -> dict:
@@ -233,14 +232,7 @@ def simulate_budget(stack: CpwStack, refinement_level: int = 1,
         "metal_air": stack.materials["MA_oxide"].loss_tangent,
         "substrate_air": stack.materials["SA_oxide"].loss_tangent,
     }
-    notes = []
-    if stack.ma_scale != 1.0:
-        notes.append(
-            f"metal-air participation scaled by {stack.ma_scale:.3f} "
-            "(remaining-oxide fraction; the XPS pentoxide-percentage ratio "
-            "0.856 is an alternative convention)"
-        )
-    return loss_budget(participations, loss_tangents, label=label, notes=notes)
+    return loss_budget(participations, loss_tangents, label=label)
 
 
 def _sig3(value: float) -> str:
@@ -262,42 +254,4 @@ def format_budget_table(budget: ParticipationBudget) -> str:
         lines.append(budget.label)
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    for note in budget.notes:
-        lines.append(f"note: {note}")
     return "\n".join(lines)
-
-
-# Reference simulated budgets for the six chip presets, used by the
-# `reproduce-tables` command for side-by-side comparison.
-REFERENCE_BUDGETS = {
-    ("400C", "reference"): {
-        "substrate": (0.911, 1.3e-7), "air": (0.088, 0.0),
-        "metal_air": (1.87e-5, 0.01), "substrate_air": (3.7e-4, 1.7e-3),
-        "total": 9.34e-7,
-    },
-    ("450C", "reference"): {
-        "substrate": (0.911, 1.3e-7), "air": (0.088, 0.0),
-        "metal_air": (1.83e-5, 0.01), "substrate_air": (3.7e-4, 1.7e-3),
-        "total": 9.30e-7,
-    },
-    ("500C", "reference"): {
-        "substrate": (0.911, 1.3e-7), "air": (0.088, 0.0),
-        "metal_air": (1.95e-5, 0.01), "substrate_air": (3.94e-4, 1.7e-3),
-        "total": 9.83e-7,
-    },
-    ("400C", "hf_treated"): {
-        "substrate": (0.911, 1.3e-7), "air": (0.088, 0.0),
-        "metal_air": (1.53e-5, 0.01), "substrate_air": (0.0, 0.0),
-        "total": 2.72e-7,
-    },
-    ("450C", "hf_treated"): {
-        "substrate": (0.911, 1.3e-7), "air": (0.088, 0.0),
-        "metal_air": (1.53e-5, 0.01), "substrate_air": (0.0, 0.0),
-        "total": 2.72e-7,
-    },
-    ("500C", "hf_treated"): {
-        "substrate": (0.911, 1.3e-7), "air": (0.088, 0.0),
-        "metal_air": (1.66e-5, 0.01), "substrate_air": (0.0, 0.0),
-        "total": 2.85e-7,
-    },
-}

@@ -78,7 +78,8 @@ class ResonatorFit:
     nfev: int = 0  # model evaluations of the least-squares fit
     status: int = 0  # the test that ended the fit: 1 cost, 2 step, 3 both
     start: tuple = ()  # start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau)
-    reduced_chi2: float = np.nan  # 2 * cost / dof of that fit
+    # cost / dof, cost |d|^2 (d = model - S21): variance per real component
+    reduced_chi2: float = np.nan
     label: str = ""
 
     @property

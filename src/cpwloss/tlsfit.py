@@ -12,7 +12,8 @@ power-independent loss delta_other. The fit runs in log(1/Q_i) coordinates
 to balance the many decades a power sweep spans, by the numpy
 Levenberg-Marquardt the S21 fit uses (`_lm.levenberg_marquardt`), kept inside
 the box BOUNDS_LOW..BOUNDS_HIGH; a fit that ends on the b or n_c bound is
-flagged `parameter-at-bound`.
+flagged `parameter-at-bound`, and one whose F_tan_delta0 ends on 0
+`f-at-bound`.
 """
 
 from __future__ import annotations
@@ -189,6 +190,8 @@ def fit_tls(sweep: PhotonSweep) -> TlsFit:
     )
     if at_bound:
         flags.append("parameter-at-bound")
+    if f0 == 0.0:  # F_tan_delta0 on its lower bound
+        flags.append("f-at-bound")
 
     dof = max(len(n) - 4, 1)
     s_sq = sol.cost / dof

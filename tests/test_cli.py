@@ -20,7 +20,7 @@ def load(path):
     return json.loads(path.read_text(), parse_constant=_no_constant)
 
 
-BUDGET_KEYS = {"label", "entries", "total_f_tan_delta", "notes"}
+BUDGET_KEYS = {"label", "entries", "total_f_tan_delta"}
 ENTRY_KEYS = {"region", "participation", "loss_tangent", "contribution"}
 TLS_KEYS = {
     "chip", "resonator", "f_r", "temperature", "f_tan_delta0",
@@ -74,6 +74,15 @@ def test_simulate_preset(tmp_path, capsys):
         "substrate", "air", "metal_air", "substrate_air"}
     regions = [e["region"] for e in record["budget"]["entries"]]
     assert regions == ["substrate", "air", "metal_air", "substrate_air"]
+
+
+def test_simulate_prints_the_hf_scale_note(capsys):
+    for treatment, scaled in (("reference", False), ("hf_treated", True)):
+        assert run(["simulate", "--preset", "400C", "--treatment", treatment,
+                    "--refinement", "1"]) == 0
+        text = capsys.readouterr().out
+        assert ("note: metal-air participation scaled by 0.818 " in text) == scaled
+        assert ("note:" in text) == scaled
 
 
 def test_simulate_config_file(tmp_path):

@@ -18,8 +18,9 @@ from cpwloss import (
 from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
     CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, _assemble, _cell_energy,
-    dump_fields_csv, solve_with_meshed_sa_layer,
+    dump_fields_csv, mesh_inputs, solve_with_meshed_sa_layer,
 )
+from cpwloss.geometry import _LENGTH_KEYS
 
 
 def cpw_capacitance_conformal(trace_width, gap, eps_substrate):
@@ -158,6 +159,32 @@ def test_finest_cells_sit_at_conductor_corners():
     assert hx[i_corner - 1] == pytest.approx(hx.min(), rel=0.5)
     # grading rule: finest cells no larger than trace_width / 50
     assert hx.min() <= stack.trace_width / 50
+
+
+def test_mesh_depends_on_exactly_mesh_inputs():
+    """Changing one stack value changes the mesh exactly when mesh_inputs
+    lists it, so a solution reused across stacks that agree on mesh_inputs
+    is a solution of the same cross section."""
+    base = build_stack({})
+    listed = mesh_inputs(base)
+    # each length 10% longer; the zero trench_depth becomes 0.5 um
+    changes = [(name, {name: getattr(base, name) * 1.1 or 0.5e-6})
+               for name in _LENGTH_KEYS]
+    for role, mat in base.materials.items():
+        if role == "air":  # air's permittivity is fixed at 1
+            continue
+        denser = replace(mat, relative_permittivity=mat.relative_permittivity * 1.1)
+        changes.append((f"{role} relative_permittivity",
+                        {"materials": {**base.materials, role: denser}}))
+
+    def arrays(mesh):
+        return mesh.x, mesh.y, mesh.eps, mesh.region, mesh.dirichlet
+
+    reference = arrays(build_mesh(base, 1))
+    for name, change in changes:
+        mesh = build_mesh(replace(base, **change), 1)
+        same = all(map(np.array_equal, arrays(mesh), reference))
+        assert same == (name not in listed), name
 
 
 def test_degenerate_geometry_fails_mesh():

@@ -226,13 +226,17 @@ def test_simulate_budget_full_pipeline():
     assert "Total loss" in table
 
 
-def test_simulate_budget_hf_notes(ref_solution_l3):
+def test_simulate_budget_hf_scaling(ref_stack, ref_solution_l3):
     from cpwloss.geometry import reference_presets
 
     stack = reference_presets("400C", "hf_treated")
+    # the published treated-to-reference p_MA ratio of the 400C chip
+    assert stack.ma_scale == 1.53e-5 / 1.87e-5
     budget = simulate_budget(stack, solution=ref_solution_l3)
+    reference = simulate_budget(ref_stack, solution=ref_solution_l3)
+    assert budget.entry("metal_air").participation == pytest.approx(
+        stack.ma_scale * reference.entry("metal_air").participation, rel=1e-12)
     assert budget.entry("substrate_air").contribution == 0.0
-    assert any("scaled" in note for note in budget.notes)
 
 
 @pytest.mark.parametrize("overrides, name", [

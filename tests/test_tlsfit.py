@@ -107,6 +107,16 @@ def test_n_c_below_its_bound_ends_on_it():
     assert "parameter-at-bound" in fit.flags
 
 
+def test_f_on_its_bound_is_flagged():
+    # n_c = 1e10 lies far beyond the sweep, which shows no saturation: the
+    # saturable loss is fitted to 0, where its error is not defined
+    sweep = synth_sweep(f_tan_delta0=1e-6, n_c=1e10, b=0.4, delta_other=5e-8,
+                        noise_frac=0.02, seed=1)
+    fit = fit_tls(sweep)
+    assert fit.f_tan_delta0 == 0.0
+    assert "f-at-bound" in fit.flags
+
+
 def _trf_fit(sweep):
     """fit_tls's problem (start, weights, log residual, Jacobian, box) solved
     by scipy's trf with the settings fit_tls once used; returns the solution
