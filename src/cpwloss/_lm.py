@@ -17,9 +17,10 @@ cost are both at most ftol (and rho <= 2); 2, the step test: the scaled step
 is at most xtol times the scaled parameters; 3, both. Status 0 means that
 maxfev evaluations passed before either test.
 
-An optional box [lower, upper] keeps every trial point feasible: a
-parameter on a bound whose step points out of the box is held there (the
-step is solved again without it), and a step that would cross a bound stops
+Each step is first one solve of the full scaled system. An optional box
+[lower, upper] keeps every trial point feasible: a parameter on a bound
+whose step points out of the box is held there (only then is the step
+solved again, without it), and a step that would cross a bound stops
 on the first bound it meets. A shortened step keeps its direction, so the
 damped model still predicts a reduction; clipping each coordinate instead
 lets a wild first step land several parameters on their bounds at once.
@@ -57,20 +58,18 @@ def levenberg_marquardt(evaluate, x0, ftol, xtol, maxfev, lower=None, upper=None
     while nfev < maxfev:
         scale = np.maximum(scale, np.diag(jtj))
         d = np.where(scale > 0, scale, 1.0)
-        s = 1 / np.sqrt(d)
-        free = np.ones(len(x), dtype=bool)
-        while True:
-            sf = s[free]
-            h = np.zeros(len(x))
-            h[free] = -sf * np.linalg.solve(
-                jtj[np.ix_(free, free)] * np.outer(sf, sf) + lam * np.eye(len(sf)),
-                sf * grad[free])
-            if lower is None:
-                break
-            out = (x <= lower) & (h < 0) | (x >= upper) & (h > 0)
-            if not out.any():
-                break
-            free &= ~out
+        sqrt_d = np.sqrt(d)
+        s = 1 / sqrt_d
+        h = -s * np.linalg.solve(jtj * np.outer(s, s) + lam * np.eye(len(x)), s * grad)
+        if lower is not None:
+            free = np.ones(len(x), dtype=bool)
+            while (out := (x <= lower) & (h < 0) | (x >= upper) & (h > 0)).any():
+                free &= ~out
+                sf = s[free]
+                h = np.zeros(len(x))
+                h[free] = -sf * np.linalg.solve(
+                    jtj[np.ix_(free, free)] * np.outer(sf, sf) + lam * np.eye(len(sf)),
+                    sf * grad[free])
         trial = x + h
         if lower is not None:
             bound = np.where(h < 0, lower, upper)
@@ -87,8 +86,8 @@ def levenberg_marquardt(evaluate, x0, ftol, xtol, maxfev, lower=None, upper=None
         rho = actual / predicted if predicted > 0 else -np.inf
         status = (int(abs(actual) <= ftol * cost and predicted <= ftol * cost
                       and rho <= 2)
-                  + 2 * int(np.linalg.norm(np.sqrt(d) * h)
-                            <= xtol * np.linalg.norm(np.sqrt(d) * x)))
+                  + 2 * int(np.linalg.norm(sqrt_d * h)
+                            <= xtol * np.linalg.norm(sqrt_d * x)))
         if rho > 1e-4:
             x, cost = trial, new_cost
             jtj, grad = new_normal()

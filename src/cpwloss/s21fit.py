@@ -16,7 +16,9 @@ parameters; errors from its covariance (Probst et al., Rev. Sci. Instrum.
 The fit is a numpy Levenberg-Marquardt (`_lm.levenberg_marquardt`, shared
 with the TLS fit) with Moré's column scaling (Moré, LNM 630 (1978)). It
 works on the complex residual: J^T J and J^T r of the real problem are
-Re(J^H J) and Re(J^H d) of the complex 7-column Jacobian J. It ends on
+Re(J^H J) and Re(J^H d) of the complex 7-column Jacobian J. Each column is a
+constant times one of five vectors, so both come from one 6x6 Gram matrix of
+those vectors and d (`_notch_evaluate`), not from J itself. It ends on
 MINPACK's cost test (ftol=1e-8) or step test (xtol=1e-15), with at most
 700 evaluations (100 per parameter); `status` numbers the test that ended
 it as MINPACK does (1 cost, 2 step, 3 both).
@@ -80,6 +82,8 @@ class ResonatorFit:
     start: tuple = ()  # start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau)
     # cost / dof, cost |d|^2 (d = model - S21): variance per real component
     reduced_chi2: float = np.nan
+    jtj_cond: float = np.nan  # cond(J^T J), its columns scaled to unit norm
+    diameter_z: float = np.nan  # Q_l / |Q_c| over its error from cov
     label: str = ""
 
     @property
@@ -96,6 +100,14 @@ def notch_model(f, f_r, q_l, q_c_mag, phi=0.0, a=1.0, alpha=0.0, tau=0.0):
         1 + 2j * q_l * (f / f_r - 1)
     )
     return env * resonance
+
+
+def _cis(phase):
+    """exp(i phase) for real phase, by cos and sin: twice np.exp's speed."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def _fit_circle_algebraic(z):
@@ -139,7 +151,7 @@ def _start_values(f, z, mag):
     """Start values (f_r, Q_l, |Q_c|, phi, a, alpha, tau) from the phase-slope
     delay, a circle fit to the delay-corrected data and the dip's area."""
     tau = _estimate_delay(f, z)
-    zc = z * np.exp(2j * np.pi * f * tau)
+    zc = z * _cis(2 * np.pi * f * tau)
     center, radius = _fit_circle_algebraic(zc)
     f_r = f[np.argmin(mag)]
     # off-resonant point: the circle point in the mean direction of the
@@ -167,6 +179,44 @@ def _start_values(f, z, mag):
     return f_r, q_l, q_l * a / (2 * radius), phi, a, np.angle(offres), tau
 
 
+def _notch_evaluate(p, f, z, start, units):
+    """|d|^2 of the S21 fit's residual d = model - z at its parameters p, in
+    the `units` (lw0, fc, tau_unit) of `fit_s21`, and a callable giving
+    Re(J^H J), Re(J^H d) from the Gram matrix M = conj(w) w^T of six rows w:
+    g = eg/den, df g (df = f - fc), eg, the model, df model and d. Each
+    Jacobian column is a constant times one of the first five (the f_r column
+    is -2i lw0 Q_l / f_r^2 (fc g + df g)), so with their 5x7 coefficients C,
+    J^H J = C^H M[:5, :5] C and J^H d = C^H M[:5, 5]."""
+    f_r0, q_l0, q_c0, _, a0, _, tau0 = start
+    lw0, fc, tau_unit = units
+    df = f - fc
+    f_r, q_l = f_r0 + p[0] * lw0, q_l0 * p[1]
+    w = np.empty((6, len(f)), dtype=complex)
+    g, dfg, eg, model, dfmodel, d = w
+    env = _cis(p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit))
+    env *= a0 * p[4]
+    den = 1 + 2j * q_l * (f / f_r - 1)
+    np.divide(env * (q_l / (q_c0 * p[2])) * np.exp(1j * p[3]), den, out=eg)
+    np.subtract(env, eg, out=model)
+    np.subtract(model, z, out=d)
+
+    def normal():
+        np.divide(eg, den, out=g)
+        np.multiply(df, g, out=dfg)
+        np.multiply(df, model, out=dfmodel)
+        m = w.conj() @ w.T
+        c = np.zeros((5, 7), dtype=complex)
+        c[:2, 0] = -2j * lw0 * q_l / f_r**2 * np.array([fc, 1.0])  # f_r offset
+        c[0, 1] = -1 / p[1]  # Q_l ratio
+        c[2, 2:4] = 1 / p[2], -1j  # |Q_c| ratio, phi
+        c[3, 4:6] = 1 / p[4], 1j  # a ratio, alpha at fc
+        c[4, 6] = -2j * np.pi * tau_unit  # tau offset
+        chm = c.conj().T @ m[:5]
+        return (chm[:, :5] @ c).real, chm[:, 5].real
+
+    return np.vdot(d, d).real, normal
+
+
 def fit_s21(trace: S21Trace) -> ResonatorFit:
     """Extract (f_r, Q_l, Q_c, Q_i) and environment parameters from a trace."""
     f = trace.frequency
@@ -187,41 +237,16 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     # linewidths, Q_l, |Q_c| and a as ratios, tau as an offset in radians of
     # phase across the span, phi in radians, and the environment phase taken
     # at the span centre fc, where it does not trade off against tau.
-    lw0 = f_r0 / q_l0
-    fc = 0.5 * (f[0] + f[-1])
-    df = f - fc
+    lw0, fc = f_r0 / q_l0, 0.5 * (f[0] + f[-1])
     tau_unit = 1 / (2 * np.pi * (f[-1] - f[0]))
     x0 = [0.0, 1.0, 1.0, phi0, 1.0, alpha0 - 2 * np.pi * fc * tau0, 0.0]
-
-    def evaluate(p):
-        """|d|^2 of the complex residual d, and Re(J^H J), Re(J^H d)."""
-        f_r = f_r0 + p[0] * lw0
-        q_l, q_c_mag = q_l0 * p[1], q_c0 * p[2]
-        env = a0 * p[4] * np.exp(1j * (p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit)))
-        den = 1 + 2j * q_l * (f / f_r - 1)
-        eg = env * (q_l / q_c_mag) * np.exp(1j * p[3]) / den
-        model = env - eg
-        d = model - z
-
-        def normal():
-            jac = np.stack([
-                -2j * lw0 * q_l * f / f_r**2 * eg / den,  # f_r offset
-                -eg / (p[1] * den),  # Q_l ratio
-                eg / p[2],  # |Q_c| ratio
-                -1j * eg,  # phi
-                model / p[4],  # a ratio
-                1j * model,  # alpha at fc
-                -2j * np.pi * tau_unit * df * model,  # tau offset
-            ], axis=1)
-            jh = jac.conj().T
-            return (jh @ jac).real, (jh @ d).real
-
-        return np.vdot(d, d).real, normal
 
     # the fit ends when a step lowers the cost by at most 1e-8 relative (and
     # predicts no more), or when the step is at the rounding level of the
     # parameters, as on a noiseless trace
-    sol = levenberg_marquardt(evaluate, x0, ftol=1e-8, xtol=1e-15, maxfev=700)
+    sol = levenberg_marquardt(
+        lambda p: _notch_evaluate(p, f, z, start, (lw0, fc, tau_unit)), x0,
+        ftol=1e-8, xtol=1e-15, maxfev=700)
     if not sol.status:
         raise FitDivergedError(
             f"S21 fit did not converge in {sol.nfev} evaluations")
@@ -246,21 +271,25 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
     alpha = float(np.angle(np.exp(1j * (p[5] + 2 * np.pi * fc * tau))))
     alpha_c = float(np.angle(np.exp(1j * p[5])))
 
-    # covariance of the fit, carried linearly to f_r, Q_l, Q_c, Q_i, alpha, tau
+    # covariance, carried linearly to f_r, Q_l, Q_c, Q_i, alpha, tau and Q_l/|Q_c|
     dof = max(2 * len(f) - len(p), 1)
     s_sq = sol.cost / dof
+    col = np.sqrt(np.diag(sol.jtj))
     try:
         cov = np.linalg.inv(sol.jtj) * s_sq
+        jtj_cond = float(np.linalg.cond(sol.jtj / np.outer(col, col)))
     except np.linalg.LinAlgError:
-        cov = np.full((len(p), len(p)), np.nan)
+        cov, jtj_cond = np.full((len(p), len(p)), np.nan), np.nan
     d_f_r = np.array([lw0, 0, 0, 0, 0, 0, 0])
     d_q_l = np.array([0, q_l0, 0, 0, 0, 0, 0])
     d_q_c = np.array([0, 0, q_c0 / np.cos(phi), q_c * np.tan(phi), 0, 0, 0])
     d_q_i = q_i**2 * (d_q_l / q_l**2 - d_q_c / q_c**2)
     d_alpha = np.array([0, 0, 0, 0, 0, 1, 2 * np.pi * fc * tau_unit])
     d_tau = np.array([0, 0, 0, 0, 0, 0, tau_unit])
-    grads = np.array([d_f_r, d_q_l, d_q_c, d_q_i, d_alpha, d_tau])
-    f_r_err, q_l_err, q_c_err, q_i_err, alpha_err, tau_err = (
+    diameter = q_l / q_c_mag
+    d_diameter = np.array([0, diameter / p[1], -diameter / p[2], 0, 0, 0, 0])
+    grads = np.array([d_f_r, d_q_l, d_q_c, d_q_i, d_alpha, d_tau, d_diameter])
+    f_r_err, q_l_err, q_c_err, q_i_err, alpha_err, tau_err, diameter_err = (
         float(e) for e in np.sqrt(np.abs(np.sum(grads @ cov * grads, axis=1))))
 
     return ResonatorFit(
@@ -271,6 +300,8 @@ def fit_s21(trace: S21Trace) -> ResonatorFit:
         alpha_c=alpha_c, alpha_c_err=float(np.sqrt(np.abs(cov[5, 5]))),
         nfev=sol.nfev, status=sol.status,
         start=tuple(float(v) for v in start), reduced_chi2=float(s_sq),
+        jtj_cond=jtj_cond,
+        diameter_z=float(diameter / diameter_err) if diameter_err else np.inf,
         label=trace.label,
     )
 

@@ -245,7 +245,8 @@ def test_synth_fit_s21_round_trip(tmp_path):
     assert set(rec) == {
         "label", "f_r", "f_r_err", "q_l", "q_l_err", "q_c", "q_c_err", "q_i",
         "q_i_err", "phi", "a", "alpha", "alpha_err", "tau", "tau_err", "alpha_c",
-        "alpha_c_err", "nfev", "status", "start", "reduced_chi2", "n_photon"}
+        "alpha_c_err", "nfev", "status", "start", "reduced_chi2", "jtj_cond",
+        "diameter_z", "n_photon"}
     assert rec["f_r"] == pytest.approx(6e9, rel=1e-7)
     assert rec["q_l"] == pytest.approx(5e5, rel=0.005)
     assert rec["n_photon"] > 0

@@ -7,7 +7,9 @@ from scipy.constants import hbar
 
 from cpwloss import ResonatorFit, S21Trace, fit_s21, notch_model, photon_number, synth_trace
 from cpwloss.errors import ConfigError, FitDivergedError, NoDipFoundError
-from cpwloss.s21fit import _fit_circle_algebraic, _start_values, read_trace, write_trace
+from cpwloss.s21fit import (
+    _fit_circle_algebraic, _notch_evaluate, _start_values, read_trace, write_trace,
+)
 
 
 def test_notch_model_on_resonance_depth():
@@ -239,6 +241,62 @@ def test_q_l_start_on_noiseless_regime_map(f_r, log_q_l, coupling, phi, a,
     fit = fit_s21(_regime_trace(f_r, log_q_l, coupling, phi, a, alpha, tau,
                                 span, n_points))
     assert 1 / 1.5 <= fit.start[1] / 10**log_q_l <= 1.5
+
+
+def _stacked_normal(p, f, z, start):
+    """The notch fit's cost |d|^2, Re(J^H J) and Re(J^H d), from its seven
+    Jacobian columns stacked as an n x 7 array: the reference for the Gram
+    form of `_notch_evaluate`."""
+    f_r0, q_l0, q_c0, _, a0, _, tau0 = start
+    lw0, fc = f_r0 / q_l0, 0.5 * (f[0] + f[-1])
+    tau_unit = 1 / (2 * np.pi * (f[-1] - f[0]))
+    df = f - fc
+    f_r, q_l, q_c_mag = f_r0 + p[0] * lw0, q_l0 * p[1], q_c0 * p[2]
+    env = a0 * p[4] * np.exp(1j * (p[5] - 2 * np.pi * df * (tau0 + p[6] * tau_unit)))
+    den = 1 + 2j * q_l * (f / f_r - 1)
+    eg = env * (q_l / q_c_mag) * np.exp(1j * p[3]) / den
+    model = env - eg
+    d = model - z
+    jac = np.stack([
+        -2j * lw0 * q_l * f / f_r**2 * eg / den,  # f_r offset
+        -eg / (p[1] * den),  # Q_l ratio
+        eg / p[2],  # |Q_c| ratio
+        -1j * eg,  # phi
+        model / p[4],  # a ratio
+        1j * model,  # alpha at fc
+        -2j * np.pi * tau_unit * df * model,  # tau offset
+    ], axis=1)
+    jh = jac.conj().T
+    return np.vdot(d, d).real, (jh @ jac).real, (jh @ d).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(**REGIME_MAP, snr_db=st.floats(30.0, 60.0), step=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2**32 - 1))
+def test_gram_normal_equations_match_the_stacked_jacobian(
+        f_r, log_q_l, coupling, phi, a, alpha, tau, span, n_points, snr_db,
+        step, seed):
+    # noisy traces, at parameters up to 30% (and 0.3 linewidths, 0.3 rad)
+    # from the truth, which is the fit's start here
+    q_l = 10**log_q_l
+    trace = synth_trace(f_r=f_r, q_l=q_l, q_c_mag=coupling * q_l, phi=phi, a=a,
+                        alpha=alpha, tau=tau, n_points=n_points,
+                        span_linewidths=span, snr_db=snr_db, seed=seed)
+    f, z = trace.frequency, trace.s21
+    start = (f_r, q_l, coupling * q_l, phi, a, alpha, tau)
+    fc = 0.5 * (f[0] + f[-1])
+    p = (np.array([0.0, 1.0, 1.0, phi, 1.0, alpha - 2 * np.pi * fc * tau, 0.0])
+         + step * np.random.default_rng(seed).uniform(-1, 1, 7))
+    units = f_r / q_l, fc, 1 / (2 * np.pi * (f[-1] - f[0]))
+    cost, normal = _notch_evaluate(p, f, z, start, units)
+    jtj, jtd = normal()
+    cost_ref, jtj_ref, jtd_ref = _stacked_normal(p, f, z, start)
+    assert cost == pytest.approx(cost_ref, rel=1e-13)
+    # each entry within 1e-12 of its row's and column's scale, which is at
+    # most the largest entry
+    col = np.sqrt(np.diag(jtj_ref))
+    assert np.all(np.abs(jtj - jtj_ref) <= 1e-12 * np.outer(col, col))
+    assert np.abs(jtd - jtd_ref).max() <= 1e-12 * np.abs(jtd_ref).max()
 
 
 def test_q_l_start_on_40db_traces():
