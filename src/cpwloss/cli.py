@@ -108,6 +108,7 @@ def cmd_simulate(args):
         "config": stack.to_config(),
         "mesh_cells": mesh.n_cells,
         "solver": {"unknowns": solution.unknowns,
+                   "matrix_nnz": solution.matrix_nnz,
                    "factor_nnz": solution.factor_nnz,
                    "residual": solution.residual,
                    "stage_s": solution.stage_s},

@@ -16,6 +16,12 @@ into the right-hand side. Each free-free edge enters the reduced matrix at
 (a, b) and (b, a), so it is symmetric by construction, and SuperLU factors it
 with a symmetric fill-reducing ordering, minimum degree on A^T + A.
 
+The assembly works on the node grid itself, with no edge lists: the
+diagonal and the right-hand side are four shifted sums over (nx, ny)
+arrays, and the CSC arrays are written in column order with int32 indices.
+Its traced peak is about 2.7x the bytes of A and b (a test holds it within
+3x); the factors, not the assembly, set the memory of a large solve.
+
 The factorization uses one column per panel (panel_size=1) and no relaxed
 supernodes (relax=1). On this 5-point system that cuts the factor time by
 about a third at level 2 and a fifth at level 4 against SuperLU's default
@@ -192,8 +198,11 @@ class FieldSolution:
     voltage: float = 1.0
     residual: float = 0.0
     unknowns: int = 0  # free nodes: the size of the reduced system
+    matrix_nnz: int = 0  # nonzeros of the reduced matrix
     factor_nnz: int = 0  # nonzeros SuperLU stores for the L and U factors
-    stage_s: dict = field(default_factory=dict)  # "assemble"/"factor"/"solve" wall s
+    # wall s of "assemble", "factor", "solve" and "post" (freeing the
+    # factors, residual check, fields and region energies)
+    stage_s: dict = field(default_factory=dict)
 
     @property
     def capacitance_per_length(self) -> float:
@@ -208,12 +217,21 @@ def _cell_energy(mesh, ex, ey):
 
 
 def _assemble(eps, hx, hy, free, phi):
-    """Reduced matrix A_ff and right-hand side b_f from edge conductances.
+    """Reduced matrix A_ff and right-hand side b_f from edge conductances,
+    built on the (nx, ny) node grid.
 
     Each grid edge couples its end nodes with conductance g: eps times the
     half faces of the cells on either side, over the edge length. Cells
     outside the domain have zero permittivity (zero flux at the border).
     `free` and `phi` are flat over the nodes; phi is zero on free nodes.
+
+    The diagonal and the Dirichlet couplings are shifted in-place sums over
+    the grid. Their order (east, north, west, south edge) is fixed: it is
+    the order in which bincount over the edge-list reference in the tests
+    adds them, so A and b equal that reference bit for bit.
+    The CSC arrays are written in column order: each free node's column holds
+    its west, south, own, north and east entries, which is increasing row
+    order; a neighbour past the border or on a Dirichlet node gives none.
     """
     import scipy.sparse as sp
 
@@ -221,26 +239,36 @@ def _assemble(eps, hx, hy, free, phi):
     ep, hxp, hyp = np.pad(eps, 1), np.pad(hx, 1)[:, None], np.pad(hy, 1)
     gx = (ep[1:-1, :-1] * hyp[:-1] + ep[1:-1, 1:] * hyp[1:]) / (2 * hx[:, None])
     gy = (ep[:-1, 1:-1] * hxp[:-1] + ep[1:, 1:-1] * hxp[1:]) / (2 * hy)
-    node = np.arange(nx * ny).reshape(nx, ny)
-    a = np.concatenate((node[:-1].ravel(), node[:, :-1].ravel()))
-    b = np.concatenate((node[1:].ravel(), node[:, 1:].ravel()))
-    g = np.concatenate((gx.ravel(), gy.ravel()))
+    free, phi = free.reshape(nx, ny), phi.reshape(nx, ny)
 
-    ends = np.concatenate((a, b))
-    diag = np.bincount(ends, np.concatenate((g, g)), nx * ny)[free]
     # only free-Dirichlet edges carry a nonzero g * V_d into the rhs
-    rhs = np.bincount(ends, np.concatenate((g * phi[b], g * phi[a])), nx * ny)[free]
-    # a free-free edge adds -g at (a, b) and (b, a): symmetric by construction
-    num = np.cumsum(free) - 1  # unknown number of each free node
-    both = free[a] & free[b]
-    fa, fb, gf = num[a[both]], num[b[both]], -g[both]
-    idx = np.arange(len(diag))
-    A = sp.csc_matrix(
-        (np.concatenate((diag, gf, gf)),
-         (np.concatenate((idx, fa, fb)), np.concatenate((idx, fb, fa)))),
-        shape=(len(diag), len(diag)),
-    )
-    return A, rhs
+    diag, rhs = np.zeros((nx, ny)), np.zeros((nx, ny))
+    diag[:-1] += gx
+    rhs[:-1] += gx * phi[1:]  # east
+    diag[:, :-1] += gy
+    rhs[:, :-1] += gy * phi[:, 1:]  # north
+    diag[1:] += gx
+    rhs[1:] += gx * phi[:-1]  # west
+    diag[:, 1:] += gy
+    rhs[:, 1:] += gy * phi[:, :-1]  # south
+
+    # slots west, south, self, north, east of each node's column; a free-free
+    # edge puts -g in the columns of both its nodes: symmetric by construction
+    num = np.cumsum(free, dtype=np.int32).reshape(nx, ny) - np.int32(1)
+    keep = np.zeros((nx, ny, 5), dtype=bool)
+    row = np.zeros((nx, ny, 5), dtype=np.int32)
+    val = np.zeros((nx, ny, 5))
+    keep[1:, :, 0], row[1:, :, 0], val[1:, :, 0] = free[:-1], num[:-1], -gx
+    keep[:, 1:, 1], row[:, 1:, 1], val[:, 1:, 1] = free[:, :-1], num[:, :-1], -gy
+    keep[:, :, 2], row[:, :, 2], val[:, :, 2] = True, num, diag
+    keep[:, :-1, 3], row[:, :-1, 3], val[:, :-1, 3] = free[:, 1:], num[:, 1:], -gy
+    keep[:-1, :, 4], row[:-1, :, 4], val[:-1, :, 4] = free[1:], num[1:], -gx
+    keep &= free[:, :, None]
+    n_free = np.count_nonzero(free)
+    indptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2, dtype=np.int32)[free], out=indptr[1:])
+    A = sp.csc_matrix((val[keep], row[keep], indptr), shape=(n_free, n_free))
+    return A, rhs[free]
 
 
 def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
@@ -268,8 +296,11 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
         ) from exc
     t2 = time.perf_counter()
     phi_free = lu.solve(b)
-    stage_s = {"assemble": t1 - t0, "factor": t2 - t1,
-               "solve": time.perf_counter() - t2}
+    t3 = time.perf_counter()
+    # the L and U factors are the largest arrays of the solve: drop them
+    # before the post-processing allocates the fields
+    factor_nnz = int(lu.nnz)
+    del lu
     if not np.all(np.isfinite(phi_free)):
         raise SolveError("linear solve produced non-finite potential")
     # the full system's Dirichlet rows have zero residual, so this equals its
@@ -291,12 +322,14 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     e_sub = float(u_cell[mesh.region == CELL_SUBSTRATE].sum())
     e_air = float(u_cell[mesh.region == CELL_AIR].sum())
     region_energy = {RegionId.Substrate: e_sub, RegionId.Air: e_air}
+    stage_s = {"assemble": t1 - t0, "factor": t2 - t1, "solve": t3 - t2,
+               "post": time.perf_counter() - t3}
 
     return FieldSolution(
         mesh=mesh, phi=phi, ex=ex, ey=ey,
         region_energy=region_energy, total_energy=e_sub + e_air,
-        voltage=voltage, residual=res,
-        unknowns=n_free, factor_nnz=int(lu.nnz), stage_s=stage_s,
+        voltage=voltage, residual=res, unknowns=n_free,
+        matrix_nnz=A.nnz, factor_nnz=factor_nnz, stage_s=stage_s,
     )
 
 

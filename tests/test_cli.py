@@ -56,12 +56,13 @@ def test_simulate_preset(tmp_path, capsys):
         "tool_version", "provenance", "refinement_level", "config",
         "mesh_cells", "solver", "capacitance_per_length_f_per_m", "budget",
         "shares_percent"}
-    assert set(record["solver"]) == {"unknowns", "factor_nnz", "residual",
-                                     "stage_s"}
-    assert 0 < record["solver"]["unknowns"] < record["solver"]["factor_nnz"]
-    assert record["solver"]["residual"] <= 1e-8
-    assert set(record["solver"]["stage_s"]) == {"assemble", "factor", "solve"}
-    assert all(t >= 0 for t in record["solver"]["stage_s"].values())
+    solver = record["solver"]
+    assert set(solver) == {"unknowns", "matrix_nnz", "factor_nnz", "residual",
+                           "stage_s"}
+    assert 0 < solver["unknowns"] < solver["matrix_nnz"] < solver["factor_nnz"]
+    assert solver["residual"] <= 1e-8
+    assert set(solver["stage_s"]) == {"assemble", "factor", "solve", "post"}
+    assert all(t >= 0 for t in solver["stage_s"].values())
     assert set(record["config"]) == {
         "trace_width", "gap", "metal_thickness", "substrate_thickness",
         "trench_depth", "layer_MA_top", "layer_MA_side", "layer_SA",

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -255,10 +256,15 @@ def test_residual_below_tolerance(ref_solution_l2):
 
 def test_solver_stats(ref_solution_l2):
     mesh = ref_solution_l2.mesh
-    assert ref_solution_l2.unknowns == mesh.dirichlet.size - np.count_nonzero(
-        mesh.dirichlet)
+    free = ~mesh.dirichlet
+    assert ref_solution_l2.unknowns == np.count_nonzero(free)
+    # one diagonal entry per unknown and two per free-free grid edge
+    edges = (np.count_nonzero(free[1:] & free[:-1])
+             + np.count_nonzero(free[:, 1:] & free[:, :-1]))
+    assert ref_solution_l2.matrix_nnz == ref_solution_l2.unknowns + 2 * edges
     # the factors hold at least the diagonal and one coupling per unknown
     assert ref_solution_l2.factor_nnz > 2 * ref_solution_l2.unknowns
+    assert set(ref_solution_l2.stage_s) == {"assemble", "factor", "solve", "post"}
 
 
 def test_solver_matches_frozen_l2_budget(ref_solution_l2, ref_stack):
@@ -276,13 +282,96 @@ def test_solver_matches_frozen_l2_budget(ref_solution_l2, ref_stack):
     assert budget.total == pytest.approx(8.668338567930862e-07, rel=1e-9)
 
 
+def _edge_list_assemble(eps, hx, hy, free, phi):
+    """The reduced system built from edge lists: the reference for the
+    grid-native `_assemble`, whose A and b must equal it bit for bit.
+
+    Each grid edge (a, b) has conductance g: eps times the half faces of the
+    cells on either side, over the edge length. bincount over the edge ends
+    gives the diagonal and the Dirichlet couplings; scipy sorts the COO
+    entries of the free-free edges into CSC.
+    """
+    import scipy.sparse as sp
+
+    nx, ny = len(hx) + 1, len(hy) + 1
+    ep, hxp, hyp = np.pad(eps, 1), np.pad(hx, 1)[:, None], np.pad(hy, 1)
+    gx = (ep[1:-1, :-1] * hyp[:-1] + ep[1:-1, 1:] * hyp[1:]) / (2 * hx[:, None])
+    gy = (ep[:-1, 1:-1] * hxp[:-1] + ep[1:, 1:-1] * hxp[1:]) / (2 * hy)
+    node = np.arange(nx * ny).reshape(nx, ny)
+    a = np.concatenate((node[:-1].ravel(), node[:, :-1].ravel()))
+    b = np.concatenate((node[1:].ravel(), node[:, 1:].ravel()))
+    g = np.concatenate((gx.ravel(), gy.ravel()))
+
+    ends = np.concatenate((a, b))
+    diag = np.bincount(ends, np.concatenate((g, g)), nx * ny)[free]
+    rhs = np.bincount(ends, np.concatenate((g * phi[b], g * phi[a])), nx * ny)[free]
+    num = np.cumsum(free) - 1
+    both = free[a] & free[b]
+    fa, fb, gf = num[a[both]], num[b[both]], -g[both]
+    idx = np.arange(len(diag))
+    A = sp.csc_matrix(
+        (np.concatenate((diag, gf, gf)),
+         (np.concatenate((idx, fa, fb)), np.concatenate((idx, fb, fa)))),
+        shape=(len(diag), len(diag)),
+    )
+    return A, rhs
+
+
+def _system_inputs(mesh, voltage=1.0):
+    """The arguments `solve_potential` passes to `_assemble`."""
+    dirichlet = mesh.dirichlet.ravel()
+    phi = voltage * np.where(dirichlet, mesh.dirichlet_value.ravel(), 0.0)
+    return mesh.eps, np.diff(mesh.x), np.diff(mesh.y), ~dirichlet, phi
+
+
+def _assert_same_bits(got, want, name):
+    assert got.dtype == want.dtype, name
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width_um=st.floats(2.0, 20.0),
+    gap_um=st.floats(1.0, 10.0),
+    metal_nm=st.floats(20.0, 500.0),
+    trench_um=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    level=st.integers(1, 2),
+    voltage=st.floats(-100.0, 100.0),
+)
+def test_assembly_matches_edge_list_reference(width_um, gap_um, metal_nm,
+                                              trench_um, level, voltage):
+    stack = build_stack({
+        "trace_width": width_um * 1e-6, "gap": gap_um * 1e-6,
+        "metal_thickness": metal_nm * 1e-9, "trench_depth": trench_um * 1e-6,
+    })
+    inputs = _system_inputs(build_mesh(stack, level), voltage)
+    A, b = _assemble(*inputs)
+    A_ref, b_ref = _edge_list_assemble(*inputs)
+    for name in ("indptr", "indices", "data"):
+        _assert_same_bits(getattr(A, name), getattr(A_ref, name), name)
+    _assert_same_bits(b, b_ref, "b")
+
+
+@pytest.mark.parametrize("trench", [0.0, 2e-6], ids=["flat", "trench"])
+def test_assembly_peak_memory_is_bounded_by_its_output(ref_stack, trench):
+    # the grid-native build peaks at about 2.7x the bytes it returns, the
+    # edge-list reference above at 6x
+    inputs = _system_inputs(build_mesh(replace(ref_stack, trench_depth=trench), 2))
+    tracemalloc.start()
+    try:
+        A, b = _assemble(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + b.nbytes
+    assert peak <= 3 * output
+
+
 def _reference_solve(mesh):
-    """Potential and per-cell energy from spsolve of the same reduced system:
+    """Potential and per-cell energy from spsolve of the edge-list system:
     SuperLU with scipy's default ordering and factor settings."""
-    free = ~mesh.dirichlet.ravel()
-    phi = np.where(free, 0.0, mesh.dirichlet_value.ravel())
-    hx, hy = np.diff(mesh.x), np.diff(mesh.y)
-    A, b = _assemble(mesh.eps, hx, hy, free, phi)
+    eps, hx, hy, free, phi = _system_inputs(mesh)
+    A, b = _edge_list_assemble(eps, hx, hy, free, phi)
     phi[free] = spsolve(A, b)
     phi = phi.reshape(mesh.dirichlet.shape)
     # cell fields: differences along each axis, averaged over the cell's two edges
