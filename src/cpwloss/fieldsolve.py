@@ -13,21 +13,37 @@ two end nodes with eps times the half faces of the adjacent cells over the
 edge length. Dirichlet nodes (electrodes and the outer box) are eliminated:
 only the free nodes are unknowns, and couplings to Dirichlet neighbours move
 into the right-hand side. Each free-free edge enters the reduced matrix at
-(a, b) and (b, a), so it is symmetric by construction, and SuperLU factors it
-with a symmetric fill-reducing ordering, minimum degree on A^T + A.
+(a, b) and (b, a), so it is symmetric by construction. The assembly works on
+the node grid itself, with no edge lists: the diagonal and the right-hand
+side are four shifted sums over (nx, ny) arrays, and the CSC arrays are
+written in column order with int32 indices. Its traced peak is about 2.7x
+the bytes of A and b (a test holds it within 3x).
 
-The assembly works on the node grid itself, with no edge lists: the
-diagonal and the right-hand side are four shifted sums over (nx, ny)
-arrays, and the CSC arrays are written in column order with int32 indices.
-Its traced peak is about 2.7x the bytes of A and b (a test holds it within
-3x); the factors, not the assembly, set the memory of a large solve.
+The solve splits the grid into two slabs and the strip between them. Below
+the surface (or the trench floor) and above the metal, every node with
+x < x_max is free and every cell has one permittivity, so the slab's
+operator is separable, eps (Kx (x) N + Mx (x) Ky). Its x-modes,
+Kx v = mu Mx v, leave one tridiagonal system per mode, eliminated from the
+grounded wall with the positive pivot recursion
+q_k = mu n_k + d_k q_(k-1) / (q_(k-1) + d_k): the matrix decomposition
+method of Lynch, Rice and Thomas (Numer. Math. 6, 185 (1964)), used as the
+Schur-complement splitting of Buzbee, Dorr, George and Golub (SIAM J.
+Numer. Anal. 8, 722 (1971)). Each slab adds a dense Schur block on the strip
+row next to it, and SuperLU factors only the strip, with a minimum-degree
+ordering of A^T + A. The slabs are read off `Mesh.eps` and `Mesh.dirichlet`;
+a mesh without them runs the same code with the strip as the whole system.
 
-The factorization uses one column per panel (panel_size=1) and no relaxed
-supernodes (relax=1). On this 5-point system that cuts the factor time by
-about a third at level 2 and a fifth at level 4 against SuperLU's default
-settings (measured on a 2-core Xeon, one BLAS thread); the potential moves by
-at most 3e-12 V at levels 1-4. Keep relax <= panel_size: relaxed supernodes
-wider than a panel (relax 40 with panel 20) have crashed the interpreter.
+The modes of the graded grid hold to about 1e-8 relative, so the solver is
+applied to b and once more to the residual. That residual is summed edge by
+edge as g (phi_j - phi_i): the difference of two close potentials is exact
+in floating point, where A phi - b subtracts two sums that agree in nearly
+all their digits.
+
+The strip's factorization uses one column per panel (panel_size=1) and no
+relaxed supernodes (relax=1), which cut the whole system's factor time by a
+fifth to a third against SuperLU's defaults. Keep relax <= panel_size:
+relaxed supernodes wider than a panel (relax 40 with panel 20) have crashed
+the interpreter.
 
 Thin interface oxides are never meshed (nm layers in a mm domain): the
 participation module integrates them along the grid lines in `Mesh.lines`,
@@ -199,9 +215,13 @@ class FieldSolution:
     residual: float = 0.0
     unknowns: int = 0  # free nodes: the size of the reduced system
     matrix_nnz: int = 0  # nonzeros of the reduced matrix
-    factor_nnz: int = 0  # nonzeros SuperLU stores for the L and U factors
-    # wall s of "assemble", "factor", "solve" and "post" (freeing the
-    # factors, residual check, fields and region energies)
+    factor_nnz: int = 0  # nonzeros SuperLU stores for the strip's L and U
+    strip_unknowns: int = 0  # free nodes of the strip SuperLU factors
+    slab_rows: tuple = (0, 0)  # node rows of the bottom and top slab
+    # wall s of "assemble", "factor" (the strip's assembly, the modes, the
+    # Schur blocks and the strip's LU), "solve" (both applications of the
+    # solver) and "post" (freeing the factors, residual check, fields and
+    # region energies)
     stage_s: dict = field(default_factory=dict)
 
     @property
@@ -216,14 +236,21 @@ def _cell_energy(mesh, ex, ey):
     return epsilon_0 * mesh.eps * (ex**2 + ey**2) * dx * dy
 
 
-def _assemble(eps, hx, hy, free, phi):
-    """Reduced matrix A_ff and right-hand side b_f from edge conductances,
-    built on the (nx, ny) node grid.
+def _conductances(eps, hx, hy):
+    """Edge conductances of the grid: gx (nx-1, ny) couples nodes (i, j) and
+    (i+1, j), gy (nx, ny-1) nodes (i, j) and (i, j+1). Each is eps times the
+    half faces of the cells on either side, over the edge length; cells
+    outside the domain have zero permittivity (zero flux at the border)."""
+    ep, hxp, hyp = np.pad(eps, 1), np.pad(hx, 1)[:, None], np.pad(hy, 1)
+    gx = (ep[1:-1, :-1] * hyp[:-1] + ep[1:-1, 1:] * hyp[1:]) / (2 * hx[:, None])
+    gy = (ep[:-1, 1:-1] * hxp[:-1] + ep[1:, 1:-1] * hxp[1:]) / (2 * hy)
+    return gx, gy
 
-    Each grid edge couples its end nodes with conductance g: eps times the
-    half faces of the cells on either side, over the edge length. Cells
-    outside the domain have zero permittivity (zero flux at the border).
-    `free` and `phi` are flat over the nodes; phi is zero on free nodes.
+
+def _assemble(eps, hx, hy, free, phi):
+    """Reduced matrix A_ff and right-hand side b_f from the edge conductances,
+    built on the (nx, ny) node grid. `free` and `phi` are flat over the
+    nodes; phi is zero on free nodes.
 
     The diagonal and the Dirichlet couplings are shifted in-place sums over
     the grid. Their order (east, north, west, south edge) is fixed: it is
@@ -236,9 +263,7 @@ def _assemble(eps, hx, hy, free, phi):
     import scipy.sparse as sp
 
     nx, ny = len(hx) + 1, len(hy) + 1
-    ep, hxp, hyp = np.pad(eps, 1), np.pad(hx, 1)[:, None], np.pad(hy, 1)
-    gx = (ep[1:-1, :-1] * hyp[:-1] + ep[1:-1, 1:] * hyp[1:]) / (2 * hx[:, None])
-    gy = (ep[:-1, 1:-1] * hxp[:-1] + ep[1:, 1:-1] * hxp[1:]) / (2 * hy)
+    gx, gy = _conductances(eps, hx, hy)
     free, phi = free.reshape(nx, ny), phi.reshape(nx, ny)
 
     # only free-Dirichlet edges carry a nonzero g * V_d into the rhs
@@ -271,36 +296,175 @@ def _assemble(eps, hx, hy, free, phi):
     return A, rhs[free]
 
 
+def _flux_residual(gx, gy, phi):
+    """b - A phi at every node of the grid, summed edge by edge as
+    g * (phi_j - phi_i) over the node's neighbours j."""
+    fx = gx * (phi[1:] - phi[:-1])
+    fy = gy * (phi[:, 1:] - phi[:, :-1])
+    r = np.zeros_like(phi)
+    r[:-1] += fx
+    r[1:] -= fx
+    r[:, :-1] += fy
+    r[:, 1:] -= fy
+    return r
+
+
+def _slab_rows(mesh):
+    """Row counts (bottom, top) of the slabs, node rows 1..bottom and
+    ny-1-top..ny-2: every node with x < x_max is free and every adjacent cell
+    has the permittivity of the slab's corner cell. Slabs need Dirichlet rows
+    0 and ny-1 and column nx-1, and leave at least one row to the strip."""
+    d = mesh.dirichlet
+    ny = d.shape[1]
+    if not (d[:, 0].all() and d[:, -1].all() and d[-1].all()):
+        return 0, 0
+    open_row = ~d[:-1, 1:-1].any(axis=0)  # node rows 1..ny-2
+
+    def in_slab(corner):  # open, and both its cell rows at the corner's eps
+        one = (mesh.eps == corner).all(axis=0)  # cell rows 0..ny-2
+        return open_row & one[:-1] & one[1:]
+
+    def run(ok):  # length of the leading run of True
+        return int(np.argmin(np.append(ok, False)))
+
+    bottom = min(run(in_slab(mesh.eps[0, 0])), ny - 3)
+    top = min(run(in_slab(mesh.eps[0, -1])[::-1]), ny - 3 - bottom)
+    return bottom, top
+
+
+def _x_modes(hx):
+    """Modes of the x operator on the nodes x < x_max: eigenpairs of
+    Kx v = mu Mx v with V^T Mx V = I, where Kx is the 1D stiffness (zero
+    flux at x = 0, Dirichlet at x_max) and Mx the nodes' dual lengths.
+    Returns (mu, V, m), m the diagonal of Mx."""
+    from scipy.linalg import eigh_tridiagonal
+
+    m = (np.pad(hx[:-1], (1, 0)) + hx) / 2
+    inv_h = 1.0 / hx
+    s = 1.0 / np.sqrt(m)
+    mu, w = eigh_tridiagonal((np.pad(inv_h[:-1], (1, 0)) + inv_h) * s * s,
+                             -inv_h[:-1] * s[:-1] * s[1:])
+    return mu, w * s[:, None], m
+
+
+def _mode_pivots(mu, h):
+    """Pivots (s, modes) of each mode's tridiagonal mu * N + Ky over s slab
+    rows eliminated from the wall; h[k] is the step below row k, h[s] the
+    step to the strip. q_k = p_k - 1/h[k+1] follows a recursion of positive
+    terms only."""
+    q = np.empty((len(h) - 1, len(mu)))
+    q[0] = mu * (h[0] + h[1]) / 2 + 1.0 / h[0]
+    for k in range(1, len(q)):
+        t = 1.0 / h[k]
+        q[k] = mu * (h[k] + h[k + 1]) / 2 + t * q[k - 1] / (q[k - 1] + t)
+    return q + 1.0 / h[1:, None]
+
+
+class _SlabSolver:
+    """Direct solver of the reduced system: the uniform slabs are eliminated
+    by x-modes, and SuperLU factors the strip of rows between them, with each
+    slab's Schur block added on the strip row next to it."""
+
+    def __init__(self, mesh, hx, hy, slab_rows):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        ny = mesh.dirichlet.shape[1]
+        bottom, top = slab_rows
+        # the strip's grid runs over rows lo..hi: with a slab, its row next to
+        # the strip is held at 0 V
+        self.lo, self.hi = bottom, ny - 1 - top
+        strip = ~mesh.dirichlet[:, self.lo:self.hi + 1]
+        if bottom:
+            strip[:, 0] = False
+        if top:
+            strip[:, -1] = False
+        self.strip = strip
+        A, _ = _assemble(mesh.eps[:, self.lo:self.hi], hx, hy[self.lo:self.hi],
+                         strip.ravel(), np.zeros(strip.size))
+        num = np.cumsum(strip).reshape(strip.shape) - 1
+
+        self.slabs = []
+        if bottom or top:
+            mu, V, m = _x_modes(hx)
+        # per slab: its row count, its node rows and their steps in y from
+        # the wall towards the strip, its permittivity, and the strip's row
+        # next to it (on the strip's grid)
+        for n, rows, h, eps, r in (
+                (bottom, slice(1, bottom + 1), hy[:bottom + 1], mesh.eps[0, 0], 1),
+                (top, slice(ny - 2, ny - 2 - top, -1), hy[ny - 2 - top:][::-1],
+                 mesh.eps[0, -1], strip.shape[1] - 2)):
+            if not n:
+                continue
+            p = _mode_pivots(mu, h)
+            f = 1.0 / h[1:, None] / p
+            ix = np.flatnonzero(strip[:, r])
+            mv, pos = m[ix, None] * V[ix], num[ix, r]
+            schur = -eps / h[-1] * (mv * f[-1]) @ mv.T  # on the strip row's nodes
+            A = A + sp.csc_matrix((schur.ravel(), (np.repeat(pos, len(pos)),
+                                                   np.tile(pos, len(pos)))),
+                                  shape=A.shape)
+            self.slabs.append((rows, V, f, 1.0 / (eps * p), mv, pos))
+        # one column per panel, no relaxed supernodes (keep relax <= panel_size)
+        try:
+            self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1,
+                                panel_size=1)
+        except RuntimeError as exc:
+            raise SolveError(f"factorization of the strip system ({A.shape[0]} "
+                             f"unknowns) failed: {exc}") from exc
+
+    def solve(self, r):
+        """x with A x = r; r and x are (nx, ny) over the nodes, zero on the
+        Dirichlet nodes."""
+        x = np.zeros_like(r)
+        rs = r[:, self.lo:self.hi + 1][self.strip]
+        zs = []
+        for rows, V, f, _, mv, pos in self.slabs:
+            z = r[:-1, rows].T @ V  # modal right-hand sides, (rows, modes)
+            for k in range(1, len(z)):
+                z[k] += f[k - 1] * z[k - 1]
+            rs[pos] += mv @ (f[-1] * z[-1])
+            zs.append(z)
+        xs = self.lu.solve(rs)
+        x[:, self.lo:self.hi + 1][self.strip] = xs
+        for (rows, V, f, g, mv, pos), z in zip(self.slabs, zs):
+            z *= g
+            z[-1] += f[-1] * (xs[pos] @ mv)
+            for k in range(len(z) - 2, -1, -1):
+                z[k] += f[k] * z[k + 1]
+            x[:-1, rows] = V @ z.T
+        return x
+
+
 def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     """Solve the variable-permittivity Laplace problem on the mesh."""
-    import scipy.sparse.linalg as spla
-
-    dirichlet = mesh.dirichlet.ravel()
+    dirichlet = mesh.dirichlet
     if not dirichlet.any():
         raise SolveError("mesh has no Dirichlet node: the potential is undetermined")
     free = ~dirichlet
-    phi = voltage * np.where(dirichlet, mesh.dirichlet_value.ravel(), 0.0)
+    phi = voltage * np.where(dirichlet, mesh.dirichlet_value, 0.0)
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     t0 = time.perf_counter()
-    A, b = _assemble(mesh.eps, hx, hy, free, phi)
-    n_free = A.shape[0]
+    A, b = _assemble(mesh.eps, hx, hy, free.ravel(), phi.ravel())
 
-    # A is exactly symmetric, so a symmetric fill-reducing ordering applies;
-    # one column per panel, no relaxed supernodes (keep relax <= panel_size)
     t1 = time.perf_counter()
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-    except RuntimeError as exc:
-        raise SolveError(
-            f"factorization of the reduced system ({n_free} unknowns) failed: {exc}"
-        ) from exc
+    slab_rows = _slab_rows(mesh)
+    solver = _SlabSolver(mesh, hx, hy, slab_rows)
     t2 = time.perf_counter()
-    phi_free = lu.solve(b)
+    rhs = np.zeros_like(phi)
+    rhs[free] = b
+    phi += solver.solve(rhs)
+    # the modes hold to about 1e-8 relative: one step of refinement on the
+    # residual summed edge by edge
+    r = _flux_residual(*_conductances(mesh.eps, hx, hy), phi)
+    r[dirichlet] = 0.0
+    phi += solver.solve(r)
     t3 = time.perf_counter()
-    # the L and U factors are the largest arrays of the solve: drop them
-    # before the post-processing allocates the fields
-    factor_nnz = int(lu.nnz)
-    del lu
+    # drop the strip's factors and the modes before the post-processing
+    # allocates the fields
+    factor_nnz, strip_unknowns = int(solver.lu.nnz), solver.lu.shape[0]
+    del solver
+    phi_free = phi[free]
     if not np.all(np.isfinite(phi_free)):
         raise SolveError("linear solve produced non-finite potential")
     # the full system's Dirichlet rows have zero residual, so this equals its
@@ -311,8 +475,6 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     if res > RESIDUAL_RTOL:
         raise SolveError(f"linear solve did not converge: relative residual "
                          f"{res:.3e} > {RESIDUAL_RTOL:.1e}")
-    phi[free] = phi_free
-    phi = phi.reshape(mesh.dirichlet.shape)
 
     dx = hx[:, None]
     dy = hy[None, :]
@@ -328,8 +490,9 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     return FieldSolution(
         mesh=mesh, phi=phi, ex=ex, ey=ey,
         region_energy=region_energy, total_energy=e_sub + e_air,
-        voltage=voltage, residual=res, unknowns=n_free,
-        matrix_nnz=A.nnz, factor_nnz=factor_nnz, stage_s=stage_s,
+        voltage=voltage, residual=res, unknowns=A.shape[0],
+        matrix_nnz=A.nnz, factor_nnz=factor_nnz, strip_unknowns=strip_unknowns,
+        slab_rows=slab_rows, stage_s=stage_s,
     )
 
 

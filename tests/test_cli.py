@@ -57,9 +57,13 @@ def test_simulate_preset(tmp_path, capsys):
         "mesh_cells", "solver", "capacitance_per_length_f_per_m", "budget",
         "shares_percent"}
     solver = record["solver"]
-    assert set(solver) == {"unknowns", "matrix_nnz", "factor_nnz", "residual",
-                           "stage_s"}
-    assert 0 < solver["unknowns"] < solver["matrix_nnz"] < solver["factor_nnz"]
+    assert set(solver) == {"unknowns", "matrix_nnz", "factor_nnz",
+                           "strip_unknowns", "slab_rows", "residual", "stage_s"}
+    # SuperLU factors only the strip between the slabs, so factor_nnz is
+    # bounded by the strip, not by the whole system
+    assert 0 < solver["strip_unknowns"] < solver["unknowns"] < solver["matrix_nnz"]
+    assert solver["factor_nnz"] > solver["strip_unknowns"]
+    assert len(solver["slab_rows"]) == 2 and min(solver["slab_rows"]) > 0
     assert solver["residual"] <= 1e-8
     assert set(solver["stage_s"]) == {"assemble", "factor", "solve", "post"}
     assert all(t >= 0 for t in solver["stage_s"].values())

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.constants import epsilon_0
 from scipy.sparse.linalg import spsolve
@@ -19,7 +20,8 @@ from cpwloss import (
 from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
     CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, _assemble, _cell_energy,
-    dump_fields_csv, mesh_inputs, solve_with_meshed_sa_layer,
+    _slab_rows, _x_modes, dump_fields_csv, mesh_inputs,
+    solve_with_meshed_sa_layer,
 )
 from cpwloss.geometry import _LENGTH_KEYS
 
@@ -96,6 +98,8 @@ def test_parallel_plate_linear_potential():
     d = 1e-6
     mesh = _parallel_plate_mesh()
     sol = solve_potential(mesh)
+    # x_max is no Dirichlet column: no slab, SuperLU factors the whole system
+    assert sol.slab_rows == (0, 0) and sol.strip_unknowns == sol.unknowns
     # potential linear in y, field magnitude V/d, both to 0.1%
     expected = 1.0 - mesh.y / d
     assert np.allclose(sol.phi, expected[None, :], atol=1e-3)
@@ -252,6 +256,9 @@ def test_energy_positivity(ref_solution_l2):
 
 def test_residual_below_tolerance(ref_solution_l2):
     assert ref_solution_l2.residual < 1e-8
+    # the refinement step brings it to the level of a whole-system SuperLU
+    # solve (5.3e-13); without it, 3.3e-12
+    assert ref_solution_l2.residual <= 1e-12
 
 
 def test_solver_stats(ref_solution_l2):
@@ -262,8 +269,13 @@ def test_solver_stats(ref_solution_l2):
     edges = (np.count_nonzero(free[1:] & free[:-1])
              + np.count_nonzero(free[:, 1:] & free[:, :-1]))
     assert ref_solution_l2.matrix_nnz == ref_solution_l2.unknowns + 2 * edges
-    # the factors hold at least the diagonal and one coupling per unknown
-    assert ref_solution_l2.factor_nnz > 2 * ref_solution_l2.unknowns
+    # SuperLU factors the strip between the slabs: the free nodes of rows
+    # bottom + 1 .. ny - 2 - top, a small part of the system
+    bottom, top = ref_solution_l2.slab_rows
+    strip = np.count_nonzero(free[:, bottom + 1:free.shape[1] - 1 - top])
+    assert 0 < ref_solution_l2.strip_unknowns == strip < ref_solution_l2.unknowns
+    # the strip's factors hold at least its diagonal and one coupling per unknown
+    assert ref_solution_l2.factor_nnz > 2 * ref_solution_l2.strip_unknowns
     assert set(ref_solution_l2.stage_s) == {"assemble", "factor", "solve", "post"}
 
 
@@ -367,10 +379,11 @@ def test_assembly_peak_memory_is_bounded_by_its_output(ref_stack, trench):
     assert peak <= 3 * output
 
 
-def _reference_solve(mesh):
+def _reference_solve(mesh, voltage=1.0):
     """Potential and per-cell energy from spsolve of the edge-list system:
-    SuperLU with scipy's default ordering and factor settings."""
-    eps, hx, hy, free, phi = _system_inputs(mesh)
+    SuperLU with scipy's default ordering and factor settings, on the whole
+    reduced system."""
+    eps, hx, hy, free, phi = _system_inputs(mesh, voltage)
     A, b = _edge_list_assemble(eps, hx, hy, free, phi)
     phi[free] = spsolve(A, b)
     phi = phi.reshape(mesh.dirichlet.shape)
@@ -382,10 +395,10 @@ def _reference_solve(mesh):
 
 
 def _check_against_reference(solution):
-    mesh = solution.mesh
-    phi, u_cell = _reference_solve(mesh)
-    # the electrode is at 1 V, so an absolute bound is relative to it
-    np.testing.assert_allclose(solution.phi, phi, rtol=0, atol=1e-10)
+    mesh, voltage = solution.mesh, solution.voltage
+    phi, u_cell = _reference_solve(mesh, voltage)
+    # the absolute bound is relative to the electrode's potential
+    np.testing.assert_allclose(solution.phi, phi, rtol=0, atol=1e-10 * abs(voltage))
     for region, code in ((RegionId.Substrate, CELL_SUBSTRATE),
                          (RegionId.Air, CELL_AIR)):
         assert solution.region_energy[region] == pytest.approx(
@@ -398,6 +411,83 @@ def _check_against_reference(solution):
 def test_solver_matches_independent_spsolve(ref_stack, level, trench):
     stack = replace(ref_stack, trench_depth=trench)
     _check_against_reference(solve_potential(build_mesh(stack, level)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    width_um=st.floats(2.0, 20.0),
+    gap_um=st.floats(1.0, 10.0),
+    trench_um=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    eps_sub=st.floats(1.5, 12.0),
+    voltage=st.floats(0.01, 100.0),
+    level=st.integers(1, 2),
+)
+def test_solver_matches_independent_spsolve_random_cross_sections(
+        width_um, gap_um, trench_um, eps_sub, voltage, level):
+    stack = build_stack({
+        "trace_width": width_um * 1e-6, "gap": gap_um * 1e-6,
+        "trench_depth": trench_um * 1e-6,
+        "materials": {"substrate": {"relative_permittivity": eps_sub}},
+    })
+    _check_against_reference(solve_potential(build_mesh(stack, level), voltage))
+
+
+def test_slabs_span_the_substrate_and_the_air(ref_stack):
+    # flat: below the surface and above the metal; the strip is a small part
+    # of the system (6,345 of 109,557 unknowns at L3)
+    sol = solve_potential(build_mesh(ref_stack, 3))
+    lines, ny = sol.mesh.lines, len(sol.mesh.y)
+    assert sol.slab_rows == (lines["surface"] - 1, ny - 2 - lines["metal_top"])
+    assert sol.strip_unknowns <= 0.1 * sol.unknowns
+    # with a trench, the bottom slab ends at the trench floor
+    mesh = build_mesh(replace(ref_stack, trench_depth=2e-6), 2)
+    sol = solve_potential(mesh)
+    assert sol.slab_rows == (mesh.lines["trench_floor"] - 1,
+                             len(mesh.y) - 2 - mesh.lines["metal_top"])
+
+
+def _second_difference(h):
+    """Stiffness D^T diag(1/h) D of a line of len(h) - 1 nodes whose two
+    outer neighbours are held (an infinite step links none: zero flux), and
+    the nodes' dual lengths."""
+    n = len(h) - 1
+    d = sp.diags([np.ones(n), -np.ones(n)], [0, -1], shape=(n + 1, n))
+    return (d.T @ sp.diags(1.0 / h) @ d).tocsr(), (h[:-1] + h[1:]) / 2
+
+
+@pytest.mark.parametrize("trench", [0.0, 2e-6], ids=["flat", "trench"])
+def test_slab_blocks_are_separable(ref_stack, trench):
+    # on a slab's nodes, A = eps (Kx (x) N + Mx (x) Ky): the x stiffness Kx
+    # and dual lengths Mx of the nodes x < x_max (zero flux at x = 0, so the
+    # first node has half a dual cell), N and Ky those of the slab's rows
+    mesh = build_mesh(replace(ref_stack, trench_depth=trench), 2)
+    nx, ny = mesh.dirichlet.shape
+    hx, hy = np.diff(mesh.x), np.diff(mesh.y)
+    kx, _ = _second_difference(np.concatenate(([np.inf], hx)))
+    mx = (np.concatenate(([0.0], hx[:-1])) + hx) / 2
+    A, _ = _assemble(*_system_inputs(mesh))
+    num = np.cumsum(~mesh.dirichlet).reshape(nx, ny) - 1
+    bottom, top = _slab_rows(mesh)
+    assert bottom > 0 and top > 0
+    for rows, eps in ((np.arange(1, bottom + 1), mesh.eps[0, 0]),
+                      (np.arange(ny - 1 - top, ny - 1), mesh.eps[0, -1])):
+        ky, n = _second_difference(hy[rows[0] - 1:rows[-1] + 1])
+        separable = (eps * (sp.kron(kx, sp.diags(n)) + sp.kron(sp.diags(mx), ky))).tocsr()
+        idx = num[:-1, rows].ravel()
+        block = A.tocsr()[idx][:, idx]
+        separable.sort_indices()
+        block.sort_indices()
+        np.testing.assert_array_equal(separable.indptr, block.indptr)
+        np.testing.assert_array_equal(separable.indices, block.indices)
+        np.testing.assert_allclose(separable.data, block.data, rtol=1e-14, atol=0)
+
+    # the x-modes are Mx-orthonormal and diagonalise Kx
+    mu, V, m = _x_modes(hx)
+    np.testing.assert_allclose(m, mx, rtol=1e-15)
+    err = V.T @ (mx[:, None] * V) - np.eye(nx - 1)
+    assert np.abs(err).max() <= 1e-12
+    err = V.T @ (kx @ V) - np.diag(mu)
+    assert np.abs(err).max() <= 1e-12 * mu.max()
 
 
 def test_meshed_sa_layer_matches_independent_spsolve(ref_stack):
@@ -537,7 +627,8 @@ def test_mesh_without_dirichlet_node_raises_solve_error():
 
 def test_mirror_plane_carries_zero_flux(ref_stack):
     # the zero-flux plane x = 0 must act as a mirror: solving the mirrored
-    # mesh (both halves meshed) gives the half-domain potential on x >= 0
+    # mesh (both halves meshed) gives the half-domain potential on x >= 0.
+    # Its slab rows would be Dirichlet at both x ends: no slab
     half_mesh = build_mesh(ref_stack, 1)
     shift = len(half_mesh.x) - 1
     lines = dict(half_mesh.lines)
@@ -552,6 +643,7 @@ def test_mirror_plane_carries_zero_flux(ref_stack):
 
     half = solve_potential(half_mesh)
     full = solve_potential(mirrored)
+    assert full.slab_rows == (0, 0) and full.strip_unknowns == full.unknowns
     np.testing.assert_allclose(full.phi[shift:], half.phi, rtol=0, atol=1e-12)
     # the mirrored mesh counts as the half of a cross section twice as wide
     for region in (RegionId.Substrate, RegionId.Air):
