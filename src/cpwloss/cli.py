@@ -111,7 +111,7 @@ def cmd_simulate(args):
                    "matrix_nnz": solution.matrix_nnz,
                    "factor_nnz": solution.factor_nnz,
                    "strip_unknowns": solution.strip_unknowns,
-                   "slab_rows": list(solution.slab_rows),
+                   "bands": [list(band) for band in solution.bands],
                    "residual": solution.residual,
                    "stage_s": solution.stage_s},
         "capacitance_per_length_f_per_m": solution.capacitance_per_length,

@@ -8,42 +8,48 @@ energies count the mirror image. Every conductor edge and face is a grid
 line; the mesh records their node indices, and cells, electrodes and
 contours are set by index, never by comparing coordinates.
 
-The matrix is assembled from edge conductances: each grid edge couples its
-two end nodes with eps times the half faces of the adjacent cells over the
-edge length. Dirichlet nodes (electrodes and the outer box) are eliminated:
-only the free nodes are unknowns, and couplings to Dirichlet neighbours move
-into the right-hand side. Each free-free edge enters the reduced matrix at
-(a, b) and (b, a), so it is symmetric by construction. The assembly works on
-the node grid itself, with no edge lists: the diagonal and the right-hand
-side are four shifted sums over (nx, ny) arrays, and the CSC arrays are
-written in column order with int32 indices. Its traced peak is about 2.7x
-the bytes of A and b (a test holds it within 3x).
+The operator is built from edge conductances, computed once per solve:
+each grid edge couples its two end nodes with eps times the half faces of
+the adjacent cells over the edge length. Dirichlet nodes (electrodes and the
+outer box) are eliminated: only the free nodes are unknowns. The whole
+reduced system is never formed. Its right-hand side b is the flux residual
+of the Dirichlet data, and the solved potential is checked by its own flux
+residual, summed edge by edge as g (phi_j - phi_i): the difference of two
+close potentials is exact in floating point, where A phi - b subtracts two
+sums that agree in nearly all their digits.
 
-The solve splits the grid into two slabs and the strip between them. Below
-the surface (or the trench floor) and above the metal, every node with
-x < x_max is free and every cell has one permittivity, so the slab's
-operator is separable, eps (Kx (x) N + Mx (x) Ky). Its x-modes,
-Kx v = mu Mx v, leave one tridiagonal system per mode, eliminated from the
-grounded wall with the positive pivot recursion
-q_k = mu n_k + d_k q_(k-1) / (q_(k-1) + d_k): the matrix decomposition
-method of Lynch, Rice and Thomas (Numer. Math. 6, 185 (1964)), used as the
-Schur-complement splitting of Buzbee, Dorr, George and Golub (SIAM J.
-Numer. Anal. 8, 722 (1971)). Each slab adds a dense Schur block on the strip
-row next to it, and SuperLU factors only the strip, with a minimum-degree
-ordering of A^T + A. The slabs are read off `Mesh.eps` and `Mesh.dirichlet`;
-a mesh without them runs the same code with the strip as the whole system.
+The solve splits the node rows into bands and separators. A band is a
+maximal run of rows with one free-node mask in which the cells touching a
+free node share one permittivity row e (it may vary in x, as in a trench).
+On a band the operator is separable, Kx,e (x) N + Mx,e (x) Ky, so its
+x-modes, Kx,e v = mu Mx,e v (one eigendecomposition per mask and pattern
+of e up to a factor), leave one tridiagonal system per mode: the matrix
+decomposition method of Lynch, Rice and Thomas (Numer. Math. 6, 185
+(1964)), used as the capacitance-matrix splitting of Buzbee, Dorr, George
+and Golub (SIAM J. Numer. Anal. 8, 722 (1971)) and Proskurowski and Widlund
+(Math. Comp. 30, 433 (1976)). Each mode is eliminated by pivots from either
+side, q_k = mu n_k + q_(k-1) / (1 + h_k q_(k-1)), a recursion of positive
+terms only. A band puts dense Schur blocks on the separator row on each
+side (none on a Dirichlet row) and a cross block between the two. Where two
+bands would touch, the boundary row with fewer free nodes is a separator,
+and at least one row always is. SuperLU factors only the separator rows
+(556 of 423,672 unknowns on the 400C section at level 4), with a
+minimum-degree ordering of A^T + A; a mesh without bands runs the same code
+with every free row a separator.
 
 The modes of the graded grid hold to about 1e-8 relative, so the solver is
-applied to b and once more to the residual. That residual is summed edge by
-edge as g (phi_j - phi_i): the difference of two close potentials is exact
-in floating point, where A phi - b subtracts two sums that agree in nearly
-all their digits.
+applied to b and once more to the flux residual. The back sweep leaves
+about 1% of the modal coefficients subnormal in the first application at
+level 4; they are set to 0 before the back transform, which would
+otherwise run about four times slower for no change in the result.
 
-The strip's factorization uses one column per panel (panel_size=1) and no
-relaxed supernodes (relax=1), which cut the whole system's factor time by a
-fifth to a third against SuperLU's defaults. Keep relax <= panel_size:
+The separators' factorization uses one column per panel (panel_size=1) and
+no relaxed supernodes (relax=1), which cut the whole system's factor time by
+a fifth to a third against SuperLU's defaults. Keep relax <= panel_size:
 relaxed supernodes wider than a panel (relax 40 with panel 20) have crashed
-the interpreter.
+the interpreter. The sub-grid assembly works on the node grid itself, with
+no edge lists, and its traced peak is about 2.3x the bytes of A (a test
+holds it within 3x).
 
 Thin interface oxides are never meshed (nm layers in a mm domain): the
 participation module integrates them along the grid lines in `Mesh.lines`,
@@ -216,12 +222,12 @@ class FieldSolution:
     unknowns: int = 0  # free nodes: the size of the reduced system
     matrix_nnz: int = 0  # nonzeros of the reduced matrix
     factor_nnz: int = 0  # nonzeros SuperLU stores for the strip's L and U
-    strip_unknowns: int = 0  # free nodes of the strip SuperLU factors
-    slab_rows: tuple = (0, 0)  # node rows of the bottom and top slab
-    # wall s of "assemble", "factor" (the strip's assembly, the modes, the
-    # Schur blocks and the strip's LU), "solve" (both applications of the
-    # solver) and "post" (freeing the factors, residual check, fields and
-    # region energies)
+    strip_unknowns: int = 0  # free nodes of the separator rows SuperLU factors
+    bands: tuple = ()  # (first, last) node rows of each band
+    # wall s of "assemble" (the edge conductances and b), "factor" (the
+    # bands, their modes and Schur blocks, the separators' assembly and LU),
+    # "solve" (both applications of the solver) and "post" (freeing the
+    # factors, residual check, fields and region energies)
     stage_s: dict = field(default_factory=dict)
 
     @property
@@ -247,35 +253,26 @@ def _conductances(eps, hx, hy):
     return gx, gy
 
 
-def _assemble(eps, hx, hy, free, phi):
-    """Reduced matrix A_ff and right-hand side b_f from the edge conductances,
-    built on the (nx, ny) node grid. `free` and `phi` are flat over the
-    nodes; phi is zero on free nodes.
+def _assemble(gx, gy, free):
+    """Reduced matrix A_ff of the free nodes, built from the edge conductances
+    on the (nx, ny) node grid; `free` is the (nx, ny) node mask.
 
-    The diagonal and the Dirichlet couplings are shifted in-place sums over
-    the grid. Their order (east, north, west, south edge) is fixed: it is
-    the order in which bincount over the edge-list reference in the tests
-    adds them, so A and b equal that reference bit for bit.
+    The diagonal is a shifted in-place sum over the grid. Its order (east,
+    north, west, south edge) is fixed: it is the order in which bincount
+    over the edge-list reference in the tests adds them, so A equals that
+    reference bit for bit.
     The CSC arrays are written in column order: each free node's column holds
     its west, south, own, north and east entries, which is increasing row
-    order; a neighbour past the border or on a Dirichlet node gives none.
+    order; a neighbour past the border or on a held node gives none.
     """
     import scipy.sparse as sp
 
-    nx, ny = len(hx) + 1, len(hy) + 1
-    gx, gy = _conductances(eps, hx, hy)
-    free, phi = free.reshape(nx, ny), phi.reshape(nx, ny)
-
-    # only free-Dirichlet edges carry a nonzero g * V_d into the rhs
-    diag, rhs = np.zeros((nx, ny)), np.zeros((nx, ny))
-    diag[:-1] += gx
-    rhs[:-1] += gx * phi[1:]  # east
-    diag[:, :-1] += gy
-    rhs[:, :-1] += gy * phi[:, 1:]  # north
-    diag[1:] += gx
-    rhs[1:] += gx * phi[:-1]  # west
-    diag[:, 1:] += gy
-    rhs[:, 1:] += gy * phi[:, :-1]  # south
+    nx, ny = free.shape
+    diag = np.zeros((nx, ny))
+    diag[:-1] += gx  # east
+    diag[:, :-1] += gy  # north
+    diag[1:] += gx  # west
+    diag[:, 1:] += gy  # south
 
     # slots west, south, self, north, east of each node's column; a free-free
     # edge puts -g in the columns of both its nodes: symmetric by construction
@@ -292,8 +289,7 @@ def _assemble(eps, hx, hy, free, phi):
     n_free = np.count_nonzero(free)
     indptr = np.zeros(n_free + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=2, dtype=np.int32)[free], out=indptr[1:])
-    A = sp.csc_matrix((val[keep], row[keep], indptr), shape=(n_free, n_free))
-    return A, rhs[free]
+    return sp.csc_matrix((val[keep], row[keep], indptr), shape=(n_free, n_free))
 
 
 def _flux_residual(gx, gy, phi):
@@ -309,130 +305,196 @@ def _flux_residual(gx, gy, phi):
     return r
 
 
-def _slab_rows(mesh):
-    """Row counts (bottom, top) of the slabs, node rows 1..bottom and
-    ny-1-top..ny-2: every node with x < x_max is free and every adjacent cell
-    has the permittivity of the slab's corner cell. Slabs need Dirichlet rows
-    0 and ny-1 and column nx-1, and leave at least one row to the strip."""
-    d = mesh.dirichlet
-    ny = d.shape[1]
-    if not (d[:, 0].all() and d[:, -1].all() and d[-1].all()):
-        return 0, 0
-    open_row = ~d[:-1, 1:-1].any(axis=0)  # node rows 1..ny-2
-
-    def in_slab(corner):  # open, and both its cell rows at the corner's eps
-        one = (mesh.eps == corner).all(axis=0)  # cell rows 0..ny-2
-        return open_row & one[:-1] & one[1:]
-
-    def run(ok):  # length of the leading run of True
-        return int(np.argmin(np.append(ok, False)))
-
-    bottom = min(run(in_slab(mesh.eps[0, 0])), ny - 3)
-    top = min(run(in_slab(mesh.eps[0, -1])[::-1]), ny - 3 - bottom)
-    return bottom, top
+def _flush(a):
+    """Set the subnormal entries of a to 0, in place."""
+    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0.0
 
 
-def _x_modes(hx):
-    """Modes of the x operator on the nodes x < x_max: eigenpairs of
-    Kx v = mu Mx v with V^T Mx V = I, where Kx is the 1D stiffness (zero
-    flux at x = 0, Dirichlet at x_max) and Mx the nodes' dual lengths.
-    Returns (mu, V, m), m the diagonal of Mx."""
+def _bands(mesh):
+    """(first, last) node rows of each band: a maximal run of rows with one
+    free-node mask in which every cell touching a free node has the
+    permittivity of the cell below it, so that all the band's rows see one
+    permittivity row. Where two bands would touch, the boundary row with
+    fewer free nodes is left to the separators; rows 0 and ny-1 are in no
+    band, and at least one free row is a separator."""
+    free = ~mesh.dirichlet
+    count = free.sum(axis=0)
+    ep = np.pad(mesh.eps, ((0, 0), (1, 1)))  # cell rows -1..ny-1
+    touch = free[:-1] | free[1:]  # cell i touches nodes i and i+1
+    ok = (count > 0) & ~(touch & (ep[:, :-1] != ep[:, 1:])).any(axis=0)
+    ok[[0, -1]] = False
+    joins = ok[1:] & ok[:-1] & (free[:, 1:] == free[:, :-1]).all(axis=0)
+    bands = []
+    for a, b in zip(np.flatnonzero(ok & ~np.append(False, joins)).tolist(),
+                    np.flatnonzero(ok & ~np.append(joins, False)).tolist()):
+        if bands and bands[-1][1] == a - 1:
+            if count[a - 1] < count[a]:
+                bands[-1][1] -= 1
+                if bands[-1][0] > bands[-1][1]:
+                    bands.pop()
+            else:
+                a += 1
+        if a <= b:
+            bands.append([a, b])
+    if bands and sum(b - a + 1 for a, b in bands) == np.count_nonzero(count):
+        bands[0][0] += 1
+        if bands[0][0] > bands[0][1]:
+            bands.pop(0)
+    return tuple((a, b) for a, b in bands)
+
+
+def _x_modes(hx, e, free):
+    """Modes of a band's x operator on its free nodes: eigenpairs of
+    Kx v = mu Mx v with V^T Mx V = I, where Kx is the 1D stiffness with the
+    cells' permittivity e (zero flux past the border, held nodes off the
+    mask) and Mx the nodes' dual lengths weighted by e. Returns (mu, V, m),
+    m the diagonal of Mx."""
     from scipy.linalg import eigh_tridiagonal
 
-    m = (np.pad(hx[:-1], (1, 0)) + hx) / 2
-    inv_h = 1.0 / hx
+    w, eh = np.pad(e / hx, 1), np.pad(e * hx, 1)
+    idx = np.flatnonzero(free)
+    m = (eh[idx] + eh[idx + 1]) / 2
+    off = np.where(np.diff(idx) == 1, w[idx[:-1] + 1], 0.0)
     s = 1.0 / np.sqrt(m)
-    mu, w = eigh_tridiagonal((np.pad(inv_h[:-1], (1, 0)) + inv_h) * s * s,
-                             -inv_h[:-1] * s[:-1] * s[1:])
-    return mu, w * s[:, None], m
+    mu, v = eigh_tridiagonal((w[idx] + w[idx + 1]) * s * s, -off * s[:-1] * s[1:])
+    return mu, v * s[:, None], m
 
 
 def _mode_pivots(mu, h):
-    """Pivots (s, modes) of each mode's tridiagonal mu * N + Ky over s slab
-    rows eliminated from the wall; h[k] is the step below row k, h[s] the
-    step to the strip. q_k = p_k - 1/h[k+1] follows a recursion of positive
-    terms only."""
-    q = np.empty((len(h) - 1, len(mu)))
-    q[0] = mu * (h[0] + h[1]) / 2 + 1.0 / h[0]
-    for k in range(1, len(q)):
-        t = 1.0 / h[k]
-        q[k] = mu * (h[k] + h[k + 1]) / 2 + t * q[k - 1] / (q[k - 1] + t)
+    """Pivots (s, modes) of each mode's tridiagonal mu * N + Ky over s band
+    rows eliminated from the lower side; h[k] is the step below row k, h[s]
+    the step above the last row. q_k = p_k - 1/h[k+1] follows a recursion of
+    positive terms only, q_k = mu n_k + q_(k-1) / (1 + h[k] q_(k-1))."""
+    q = np.multiply.outer((h[:-1] + h[1:]) / 2, mu)
+    q[0] += 1.0 / h[0]
+    for cur, prev, hk in zip(q[1:], q, h[1:].tolist()):
+        cur += prev / (prev * hk + 1.0)
     return q + 1.0 / h[1:, None]
 
 
-class _SlabSolver:
-    """Direct solver of the reduced system: the uniform slabs are eliminated
-    by x-modes, and SuperLU factors the strip of rows between them, with each
-    slab's Schur block added on the strip row next to it."""
+class _BandSolver:
+    """Direct solver of the reduced system: every band is eliminated by its
+    x-modes, and SuperLU factors the separator rows, which carry each band's
+    Schur blocks."""
 
-    def __init__(self, mesh, hx, hy, slab_rows):
+    def __init__(self, mesh, gx, gy, bands):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        ny = mesh.dirichlet.shape[1]
-        bottom, top = slab_rows
-        # the strip's grid runs over rows lo..hi: with a slab, its row next to
-        # the strip is held at 0 V
-        self.lo, self.hi = bottom, ny - 1 - top
-        strip = ~mesh.dirichlet[:, self.lo:self.hi + 1]
-        if bottom:
-            strip[:, 0] = False
-        if top:
-            strip[:, -1] = False
-        self.strip = strip
-        A, _ = _assemble(mesh.eps[:, self.lo:self.hi], hx, hy[self.lo:self.hi],
-                         strip.ravel(), np.zeros(strip.size))
-        num = np.cumsum(strip).reshape(strip.shape) - 1
+        free = ~mesh.dirichlet
+        ny = free.shape[1]
+        hx, hy = np.diff(mesh.x), np.diff(mesh.y)
+        sep = free.copy()
+        for a, b in bands:
+            sep[:, a:b + 1] = False
+        self.rows = np.flatnonzero(sep.any(axis=0))
+        self.sep = sep[:, self.rows]
+        # the separator rows and their neighbours, held at 0 V; rows that are
+        # not neighbours share no edge
+        near = np.unique(np.clip(np.concatenate(
+            (self.rows - 1, self.rows, self.rows + 1)), 0, ny - 1))
+        # the Schur blocks fill most of the separator system: it is summed
+        # dense and handed to SuperLU in CSC
+        S = _assemble(gx[:, near], gy[:, near[:-1]] * (np.diff(near) == 1),
+                      sep[:, near]).toarray()
+        num = np.cumsum(self.sep).reshape(self.sep.shape) - 1
 
-        self.slabs = []
-        if bottom or top:
-            mu, V, m = _x_modes(hx)
-        # per slab: its row count, its node rows and their steps in y from
-        # the wall towards the strip, its permittivity, and the strip's row
-        # next to it (on the strip's grid)
-        for n, rows, h, eps, r in (
-                (bottom, slice(1, bottom + 1), hy[:bottom + 1], mesh.eps[0, 0], 1),
-                (top, slice(ny - 2, ny - 2 - top, -1), hy[ny - 2 - top:][::-1],
-                 mesh.eps[0, -1], strip.shape[1] - 2)):
-            if not n:
-                continue
+        def side(j, cols, m, V):  # the band's coupling to separator row j
+            ix = np.flatnonzero(cols & sep[:, j])
+            if not ix.size:
+                return None
+            k = (np.cumsum(cols) - 1)[ix]  # positions among the band's nodes
+            return num[ix, np.searchsorted(self.rows, j)], m[k, None] * V[k]
+
+        def block(s1, s2, d):  # Schur block -mv1 diag(d) mv2^T, and its mirror
+            (p1, mv1), (p2, mv2) = s1, s2
+            schur = (mv1 * d) @ mv2.T
+            S[np.ix_(p1, p2)] -= schur
+            if s1 is not s2:
+                S[np.ix_(p2, p1)] -= schur.T
+
+        modes = {}
+        self.bands = []
+        for a, b in bands:
+            # the band's operator is c (Kx (x) N + Mx (x) Ky), its modes those
+            # of the permittivity row over c, shared by every band of that
+            # mask and pattern
+            cols = free[:, a]
+            e = np.where(cols[:-1] | cols[1:], mesh.eps[:, a], 0.0)
+            c = e[np.flatnonzero(e)[0]]
+            key = (cols.tobytes(), (e / c).tobytes())
+            if key not in modes:
+                modes[key] = _x_modes(hx, e / c, cols)
+            mu, V, m = modes[key]
+            # rows in the order of elimination, from the lower side unless
+            # only the lower side is a separator; h[k] is the step before row k
+            rows, h = slice(a, b + 1), hy[a - 1:b + 1]
+            lo, hi = side(a - 1, cols, m, V), side(b + 1, cols, m, V)
+            if lo and not hi:
+                rows, h, lo, hi = slice(b, a - 1, -1), h[::-1], None, lo
             p = _mode_pivots(mu, h)
             f = 1.0 / h[1:, None] / p
-            ix = np.flatnonzero(strip[:, r])
-            mv, pos = m[ix, None] * V[ix], num[ix, r]
-            schur = -eps / h[-1] * (mv * f[-1]) @ mv.T  # on the strip row's nodes
-            A = A + sp.csc_matrix((schur.ravel(), (np.repeat(pos, len(pos)),
-                                                   np.tile(pos, len(pos)))),
-                                  shape=A.shape)
-            self.slabs.append((rows, V, f, 1.0 / (eps * p), mv, pos))
+            gh = None
+            if lo:
+                # column 0 of the inverse tridiagonal over h[0], from the
+                # pivots eliminated from the other side
+                q = _mode_pivots(mu, h[::-1])[::-1]
+                gh = np.cumprod(np.vstack((1.0 / q[:1], 1.0 / h[1:-1, None] / q[1:])),
+                                axis=0) / h[0]
+                _flush(gh)
+                block(lo, lo, c / h[0] * gh[0])
+            if hi:
+                block(hi, hi, c / h[-1] * f[-1])
+            if lo and hi:
+                block(lo, hi, c / h[-1] * gh[-1])
+            self.bands.append((cols, rows, V, f, 1.0 / (c * p), lo, hi, gh))
+
+        # S is symmetric (its Schur blocks up to rounding): its rows, in
+        # memory order, are the columns of its CSC form
+        n, at = len(S), np.flatnonzero(S)
+        A = sp.csc_matrix((S.ravel()[at], (at % n).astype(np.int32),
+                           np.searchsorted(at, np.arange(0, n * n + 1, n))
+                           .astype(np.int32)), shape=S.shape)
+        del S
         # one column per panel, no relaxed supernodes (keep relax <= panel_size)
         try:
             self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1,
                                 panel_size=1)
         except RuntimeError as exc:
-            raise SolveError(f"factorization of the strip system ({A.shape[0]} "
-                             f"unknowns) failed: {exc}") from exc
+            raise SolveError(f"factorization of the separator system "
+                             f"({A.shape[0]} unknowns) failed: {exc}") from exc
 
     def solve(self, r):
-        """x with A x = r; r and x are (nx, ny) over the nodes, zero on the
-        Dirichlet nodes."""
+        """x with A x = r; r and x are (nx, ny) over the nodes. Only the free
+        entries of r are read; x is zero on the Dirichlet nodes."""
         x = np.zeros_like(r)
-        rs = r[:, self.lo:self.hi + 1][self.strip]
+        rs = r[:, self.rows][self.sep]
         zs = []
-        for rows, V, f, _, mv, pos in self.slabs:
-            z = r[:-1, rows].T @ V  # modal right-hand sides, (rows, modes)
-            for k in range(1, len(z)):
-                z[k] += f[k - 1] * z[k - 1]
-            rs[pos] += mv @ (f[-1] * z[-1])
+        for cols, rows, V, f, _, lo, hi, gh in self.bands:
+            z = r[cols, rows].T @ V  # modal right-hand sides, (rows, modes)
+            if lo:
+                rs[lo[0]] += lo[1] @ np.einsum("km,km->m", gh, z)
+            for cur, prev, fp in zip(z[1:], z, f):
+                cur += fp * prev
+            if hi:
+                rs[hi[0]] += hi[1] @ (f[-1] * z[-1])
             zs.append(z)
         xs = self.lu.solve(rs)
-        x[:, self.lo:self.hi + 1][self.strip] = xs
-        for (rows, V, f, g, mv, pos), z in zip(self.slabs, zs):
+        xr = np.zeros(self.sep.shape)
+        xr[self.sep] = xs
+        x[:, self.rows] = xr
+        for (cols, rows, V, f, g, lo, hi, gh), z in zip(self.bands, zs):
             z *= g
-            z[-1] += f[-1] * (xs[pos] @ mv)
-            for k in range(len(z) - 2, -1, -1):
-                z[k] += f[k] * z[k + 1]
-            x[:-1, rows] = V @ z.T
+            if hi:
+                z[-1] += f[-1] * (xs[hi[0]] @ hi[1])
+            for cur, nxt, fc in zip(z[-2::-1], z[::-1], f[-2::-1]):
+                cur += fc * nxt
+            if lo:
+                z += gh * (xs[lo[0]] @ lo[1])
+            # the back sweep leaves subnormal coefficients in the decaying
+            # modes; they would slow the matmul about fourfold and add nothing
+            _flush(z)
+            x[cols, rows] = V @ z.T
         return x
 
 
@@ -443,39 +505,38 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
         raise SolveError("mesh has no Dirichlet node: the potential is undetermined")
     free = ~dirichlet
     phi = voltage * np.where(dirichlet, mesh.dirichlet_value, 0.0)
-    hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     t0 = time.perf_counter()
-    A, b = _assemble(mesh.eps, hx, hy, free.ravel(), phi.ravel())
+    gx, gy = _conductances(mesh.eps, np.diff(mesh.x), np.diff(mesh.y))
+    b = _flux_residual(gx, gy, phi)  # on the free nodes, the rhs of A phi_f = b
 
     t1 = time.perf_counter()
-    slab_rows = _slab_rows(mesh)
-    solver = _SlabSolver(mesh, hx, hy, slab_rows)
+    bands = _bands(mesh)
+    solver = _BandSolver(mesh, gx, gy, bands)
     t2 = time.perf_counter()
-    rhs = np.zeros_like(phi)
-    rhs[free] = b
-    phi += solver.solve(rhs)
+    phi += solver.solve(b)
     # the modes hold to about 1e-8 relative: one step of refinement on the
     # residual summed edge by edge
-    r = _flux_residual(*_conductances(mesh.eps, hx, hy), phi)
-    r[dirichlet] = 0.0
-    phi += solver.solve(r)
+    phi += solver.solve(_flux_residual(gx, gy, phi))
     t3 = time.perf_counter()
-    # drop the strip's factors and the modes before the post-processing
-    # allocates the fields
+    # drop the factors and the modes before the post-processing allocates
+    # the fields
     factor_nnz, strip_unknowns = int(solver.lu.nnz), solver.lu.shape[0]
     del solver
-    phi_free = phi[free]
-    if not np.all(np.isfinite(phi_free)):
+    if not np.all(np.isfinite(phi[free])):
         raise SolveError("linear solve produced non-finite potential")
     # the full system's Dirichlet rows have zero residual, so this equals its
     # residual relative to the Dirichlet data. The norms are numpy reductions,
     # not BLAS dots, which would spread over every core unless pinned.
-    r, d = A @ phi_free - b, phi[dirichlet]
+    r, d = _flux_residual(gx, gy, phi)[free], phi[dirichlet]
     res = np.sqrt(np.sum(r * r)) / max(np.sqrt(np.sum(d * d)), 1e-300)
     if res > RESIDUAL_RTOL:
         raise SolveError(f"linear solve did not converge: relative residual "
                          f"{res:.3e} > {RESIDUAL_RTOL:.1e}")
+    unknowns = r.size
+    edges = int(np.count_nonzero(free[1:] & free[:-1])
+                + np.count_nonzero(free[:, 1:] & free[:, :-1]))
 
+    hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     dx = hx[:, None]
     dy = hy[None, :]
     ex = -((phi[1:, :-1] - phi[:-1, :-1]) + (phi[1:, 1:] - phi[:-1, 1:])) / (2 * dx)
@@ -490,9 +551,9 @@ def solve_potential(mesh: Mesh, voltage: float = 1.0) -> FieldSolution:
     return FieldSolution(
         mesh=mesh, phi=phi, ex=ex, ey=ey,
         region_energy=region_energy, total_energy=e_sub + e_air,
-        voltage=voltage, residual=res, unknowns=A.shape[0],
-        matrix_nnz=A.nnz, factor_nnz=factor_nnz, strip_unknowns=strip_unknowns,
-        slab_rows=slab_rows, stage_s=stage_s,
+        voltage=voltage, residual=res, unknowns=unknowns,
+        matrix_nnz=unknowns + 2 * edges, factor_nnz=factor_nnz,
+        strip_unknowns=strip_unknowns, bands=bands, stage_s=stage_s,
     )
 
 

@@ -58,12 +58,14 @@ def test_simulate_preset(tmp_path, capsys):
         "shares_percent"}
     solver = record["solver"]
     assert set(solver) == {"unknowns", "matrix_nnz", "factor_nnz",
-                           "strip_unknowns", "slab_rows", "residual", "stage_s"}
-    # SuperLU factors only the strip between the slabs, so factor_nnz is
-    # bounded by the strip, not by the whole system
+                           "strip_unknowns", "bands", "residual", "stage_s"}
+    # SuperLU factors only the separator rows between the bands, so
+    # factor_nnz is bounded by them, not by the whole system
     assert 0 < solver["strip_unknowns"] < solver["unknowns"] < solver["matrix_nnz"]
     assert solver["factor_nnz"] > solver["strip_unknowns"]
-    assert len(solver["slab_rows"]) == 2 and min(solver["slab_rows"]) > 0
+    # below the surface, in the gap and above the metal: (first, last) rows
+    assert len(solver["bands"]) == 3
+    assert all(0 < first <= last for first, last in solver["bands"])
     assert solver["residual"] <= 1e-8
     assert set(solver["stage_s"]) == {"assemble", "factor", "solve", "post"}
     assert all(t >= 0 for t in solver["stage_s"].values())

@@ -19,8 +19,8 @@ from cpwloss import (
 )
 from cpwloss.errors import MeshError, SolveError
 from cpwloss.fieldsolve import (
-    CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, _assemble, _cell_energy,
-    _slab_rows, _x_modes, dump_fields_csv, mesh_inputs,
+    CELL_AIR, CELL_METAL, CELL_SUBSTRATE, Mesh, _assemble, _bands, _cell_energy,
+    _conductances, _flux_residual, _x_modes, dump_fields_csv, mesh_inputs,
     solve_with_meshed_sa_layer,
 )
 from cpwloss.geometry import _LENGTH_KEYS
@@ -98,8 +98,10 @@ def test_parallel_plate_linear_potential():
     d = 1e-6
     mesh = _parallel_plate_mesh()
     sol = solve_potential(mesh)
-    # x_max is no Dirichlet column: no slab, SuperLU factors the whole system
-    assert sol.slab_rows == (0, 0) and sol.strip_unknowns == sol.unknowns
+    # rows 1..ny-2 share one mask and one permittivity: one band, less its
+    # first row, which stays the one separator row
+    assert sol.bands == ((2, len(mesh.y) - 2),)
+    assert sol.strip_unknowns == len(mesh.x)
     # potential linear in y, field magnitude V/d, both to 0.1%
     expected = 1.0 - mesh.y / d
     assert np.allclose(sol.phi, expected[None, :], atol=1e-3)
@@ -269,12 +271,15 @@ def test_solver_stats(ref_solution_l2):
     edges = (np.count_nonzero(free[1:] & free[:-1])
              + np.count_nonzero(free[:, 1:] & free[:, :-1]))
     assert ref_solution_l2.matrix_nnz == ref_solution_l2.unknowns + 2 * edges
-    # SuperLU factors the strip between the slabs: the free nodes of rows
-    # bottom + 1 .. ny - 2 - top, a small part of the system
-    bottom, top = ref_solution_l2.slab_rows
-    strip = np.count_nonzero(free[:, bottom + 1:free.shape[1] - 1 - top])
+    # SuperLU factors the separator rows: the free nodes of the rows in no
+    # band, a small part of the system
+    in_band = np.zeros(free.shape[1], dtype=bool)
+    for first, last in ref_solution_l2.bands:
+        in_band[first:last + 1] = True
+    strip = np.count_nonzero(free[:, ~in_band])
     assert 0 < ref_solution_l2.strip_unknowns == strip < ref_solution_l2.unknowns
-    # the strip's factors hold at least its diagonal and one coupling per unknown
+    # the separators' factors hold at least their diagonal and one coupling
+    # per unknown
     assert ref_solution_l2.factor_nnz > 2 * ref_solution_l2.strip_unknowns
     assert set(ref_solution_l2.stage_s) == {"assemble", "factor", "solve", "post"}
 
@@ -348,34 +353,65 @@ def _assert_same_bits(got, want, name):
     metal_nm=st.floats(20.0, 500.0),
     trench_um=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
     level=st.integers(1, 2),
-    voltage=st.floats(-100.0, 100.0),
 )
 def test_assembly_matches_edge_list_reference(width_um, gap_um, metal_nm,
-                                              trench_um, level, voltage):
+                                              trench_um, level):
     stack = build_stack({
         "trace_width": width_um * 1e-6, "gap": gap_um * 1e-6,
         "metal_thickness": metal_nm * 1e-9, "trench_depth": trench_um * 1e-6,
     })
-    inputs = _system_inputs(build_mesh(stack, level), voltage)
-    A, b = _assemble(*inputs)
-    A_ref, b_ref = _edge_list_assemble(*inputs)
+    mesh = build_mesh(stack, level)
+    eps, hx, hy, free, phi = _system_inputs(mesh)
+    A = _assemble(*_conductances(eps, hx, hy), free.reshape(mesh.dirichlet.shape))
+    A_ref, _ = _edge_list_assemble(eps, hx, hy, free, phi)
     for name in ("indptr", "indices", "data"):
         _assert_same_bits(getattr(A, name), getattr(A_ref, name), name)
-    _assert_same_bits(b, b_ref, "b")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width_um=st.floats(2.0, 20.0),
+    gap_um=st.floats(1.0, 10.0),
+    metal_nm=st.floats(20.0, 500.0),
+    trench_um=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    level=st.integers(1, 2),
+    voltage=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flux_residual_matches_edge_list_system(width_um, gap_um, metal_nm,
+                                                trench_um, level, voltage, seed):
+    # the solver never forms the whole system: it takes b as the flux
+    # residual of the Dirichlet data, and checks the solved potential by its
+    # flux residual. For any phi on the free nodes that is b - A phi.
+    stack = build_stack({
+        "trace_width": width_um * 1e-6, "gap": gap_um * 1e-6,
+        "metal_thickness": metal_nm * 1e-9, "trench_depth": trench_um * 1e-6,
+    })
+    mesh = build_mesh(stack, level)
+    eps, hx, hy, free, phi = _system_inputs(mesh, voltage)
+    A, b = _edge_list_assemble(eps, hx, hy, free, phi)
+    phi[free] = voltage * np.random.default_rng(seed).random(A.shape[0])
+    r = _flux_residual(*_conductances(eps, hx, hy),
+                       phi.reshape(mesh.dirichlet.shape)).ravel()[free]
+    a_phi = A @ phi[free]
+    bound = 1e-12 * (np.linalg.norm(b) + np.linalg.norm(a_phi))
+    assert np.linalg.norm(r - (b - a_phi)) <= bound
 
 
 @pytest.mark.parametrize("trench", [0.0, 2e-6], ids=["flat", "trench"])
 def test_assembly_peak_memory_is_bounded_by_its_output(ref_stack, trench):
     # the grid-native build peaks at about 2.7x the bytes it returns, the
     # edge-list reference above at 6x
-    inputs = _system_inputs(build_mesh(replace(ref_stack, trench_depth=trench), 2))
+    mesh = build_mesh(replace(ref_stack, trench_depth=trench), 2)
+    gx, gy = _conductances(mesh.eps, np.diff(mesh.x), np.diff(mesh.y))
+    free = ~mesh.dirichlet
     tracemalloc.start()
     try:
-        A, b = _assemble(*inputs)
+        A = _assemble(gx, gy, free)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    output = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + b.nbytes
+    output = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     assert peak <= 3 * output
 
 
@@ -432,18 +468,65 @@ def test_solver_matches_independent_spsolve_random_cross_sections(
     _check_against_reference(solve_potential(build_mesh(stack, level), voltage))
 
 
-def test_slabs_span_the_substrate_and_the_air(ref_stack):
-    # flat: below the surface and above the metal; the strip is a small part
-    # of the system (6,345 of 109,557 unknowns at L3)
+def test_separators_are_a_small_part_of_the_system(ref_stack):
+    # flat: bands below the surface, in the gap between the electrodes and
+    # above the metal; SuperLU factors the surface and metal-top rows of the
+    # gap (282 of 109,557 unknowns at L3)
     sol = solve_potential(build_mesh(ref_stack, 3))
     lines, ny = sol.mesh.lines, len(sol.mesh.y)
-    assert sol.slab_rows == (lines["surface"] - 1, ny - 2 - lines["metal_top"])
-    assert sol.strip_unknowns <= 0.1 * sol.unknowns
-    # with a trench, the bottom slab ends at the trench floor
+    j0, jt = lines["surface"], lines["metal_top"]
+    assert sol.bands == ((1, j0 - 1), (j0 + 1, jt - 1), (jt + 1, ny - 2))
+    assert sol.strip_unknowns <= 0.02 * sol.unknowns
+    # with a trench, the trench floor is a separator too, and the trench
+    # between it and the surface is a band whose permittivity varies in x
     mesh = build_mesh(replace(ref_stack, trench_depth=2e-6), 2)
     sol = solve_potential(mesh)
-    assert sol.slab_rows == (mesh.lines["trench_floor"] - 1,
-                             len(mesh.y) - 2 - mesh.lines["metal_top"])
+    jf, j0, jt = (mesh.lines[k] for k in ("trench_floor", "surface", "metal_top"))
+    assert sol.bands == ((1, jf - 1), (jf + 1, j0 - 1), (j0 + 1, jt - 1),
+                         (jt + 1, len(mesh.y) - 2))
+    assert sol.strip_unknowns <= 0.02 * sol.unknowns
+
+
+_kinds = st.sampled_from(["flat", "trench", "sa-layer"])
+
+
+def _random_cross_section(kind, width_um, gap_um, depth_um, level):
+    """The mesh of a random cross section: flat, with a trench, or with the
+    gap-floor oxide meshed (a trench whose cells have their own permittivity)."""
+    stack = build_stack({"trace_width": width_um * 1e-6, "gap": gap_um * 1e-6})
+    if kind == "sa-layer":
+        return solve_with_meshed_sa_layer(stack, 3.9, depth_um * 1e-6, level)[0].mesh
+    depth = depth_um * 1e-6 if kind == "trench" else 0.0
+    return build_mesh(replace(stack, trench_depth=depth), level)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=_kinds, width_um=st.floats(2.0, 20.0), gap_um=st.floats(1.0, 10.0),
+       depth_um=st.floats(0.01, 3.0), level=st.integers(1, 2))
+def test_bands_partition_the_free_rows(kind, width_um, gap_um, depth_um, level):
+    mesh = _random_cross_section(kind, width_um, gap_um, depth_um, level)
+    free, eps = ~mesh.dirichlet, mesh.eps
+    bands = _bands(mesh)
+    # disjoint, in order, no two touching, none on the border rows
+    rows = [j for first, last in bands for j in (first, last)]
+    assert rows == sorted(rows) and rows[0] >= 1 and rows[-1] <= len(mesh.y) - 2
+    assert all(last + 1 < first for (_, last), (first, _) in zip(bands, bands[1:]))
+    in_band = np.zeros(len(mesh.y), dtype=bool)
+    for first, last in bands:
+        assert first <= last
+        in_band[first:last + 1] = True
+        # one free-node mask, and one permittivity in each column of cells
+        # touching a free node, over the band and the cell rows around it
+        cols = free[:, first]
+        assert (free[:, first:last + 1] == cols[:, None]).all()
+        touch = cols[:-1] | cols[1:]
+        assert (eps[touch, first - 1:last + 1] == eps[touch, first, None]).all()
+    # every other free row is a separator, and there is at least one
+    separators = free.any(axis=0) & ~in_band
+    assert separators.any()
+    sol = solve_potential(mesh)
+    assert sol.bands == bands
+    assert sol.strip_unknowns == np.count_nonzero(free[:, separators])
 
 
 def _second_difference(h):
@@ -455,39 +538,48 @@ def _second_difference(h):
     return (d.T @ sp.diags(1.0 / h) @ d).tocsr(), (h[:-1] + h[1:]) / 2
 
 
-@pytest.mark.parametrize("trench", [0.0, 2e-6], ids=["flat", "trench"])
-def test_slab_blocks_are_separable(ref_stack, trench):
-    # on a slab's nodes, A = eps (Kx (x) N + Mx (x) Ky): the x stiffness Kx
-    # and dual lengths Mx of the nodes x < x_max (zero flux at x = 0, so the
-    # first node has half a dual cell), N and Ky those of the slab's rows
-    mesh = build_mesh(replace(ref_stack, trench_depth=trench), 2)
+@settings(max_examples=12, deadline=None)
+@given(kind=_kinds, width_um=st.floats(2.0, 20.0), gap_um=st.floats(1.0, 10.0),
+       depth_um=st.floats(0.01, 3.0), level=st.integers(1, 2))
+def test_band_blocks_are_separable(kind, width_um, gap_um, depth_um, level):
+    # on a band's free nodes, A = Kx,e (x) N + Mx,e (x) Ky: the x stiffness
+    # Kx,e of the cell permittivity row e on the band's free nodes (zero
+    # flux at x = 0, held nodes eliminated) and the e-weighted dual lengths
+    # Mx,e, N and Ky those of the band's rows between the rows around it
+    mesh = _random_cross_section(kind, width_um, gap_um, depth_um, level)
     nx, ny = mesh.dirichlet.shape
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
-    kx, _ = _second_difference(np.concatenate(([np.inf], hx)))
-    mx = (np.concatenate(([0.0], hx[:-1])) + hx) / 2
-    A, _ = _assemble(*_system_inputs(mesh))
-    num = np.cumsum(~mesh.dirichlet).reshape(nx, ny) - 1
-    bottom, top = _slab_rows(mesh)
-    assert bottom > 0 and top > 0
-    for rows, eps in ((np.arange(1, bottom + 1), mesh.eps[0, 0]),
-                      (np.arange(ny - 1 - top, ny - 1), mesh.eps[0, -1])):
-        ky, n = _second_difference(hy[rows[0] - 1:rows[-1] + 1])
-        separable = (eps * (sp.kron(kx, sp.diags(n)) + sp.kron(sp.diags(mx), ky))).tocsr()
-        idx = num[:-1, rows].ravel()
-        block = A.tocsr()[idx][:, idx]
+    eps, _, _, free, phi = _system_inputs(mesh)
+    A, _ = _edge_list_assemble(eps, hx, hy, free, phi)
+    A = A.tocsr()
+    num = np.cumsum(free).reshape(nx, ny) - 1
+    d = sp.diags([np.ones(nx - 1), -np.ones(nx - 1)], [0, 1], shape=(nx - 1, nx))
+    for first, last in _bands(mesh):
+        cols = ~mesh.dirichlet[:, first]
+        e = np.where(cols[:-1] | cols[1:], mesh.eps[:, first], 0.0)
+        kx = (d.T @ sp.diags(e / hx) @ d).tocsr()[cols][:, cols]
+        eh = np.pad(e * hx, 1)
+        mx = ((eh[:-1] + eh[1:]) / 2)[cols]
+        ky, n = _second_difference(hy[first - 1:last + 1])
+        separable = (sp.kron(kx, sp.diags(n)) + sp.kron(sp.diags(mx), ky)).tocsr()
+        idx = num[cols, first:last + 1].ravel()
+        block = A[idx][:, idx]
+        separable.eliminate_zeros()
         separable.sort_indices()
         block.sort_indices()
         np.testing.assert_array_equal(separable.indptr, block.indptr)
         np.testing.assert_array_equal(separable.indices, block.indices)
         np.testing.assert_allclose(separable.data, block.data, rtol=1e-14, atol=0)
 
-    # the x-modes are Mx-orthonormal and diagonalise Kx
-    mu, V, m = _x_modes(hx)
-    np.testing.assert_allclose(m, mx, rtol=1e-15)
-    err = V.T @ (mx[:, None] * V) - np.eye(nx - 1)
-    assert np.abs(err).max() <= 1e-12
-    err = V.T @ (kx @ V) - np.diag(mu)
-    assert np.abs(err).max() <= 1e-12 * mu.max()
+        # the x-modes of e over its first value are Mx-orthonormal and
+        # diagonalise Kx
+        c = e[np.flatnonzero(e)[0]]
+        mu, V, m = _x_modes(hx, e / c, cols)
+        np.testing.assert_allclose(c * m, mx, rtol=1e-15)
+        err = V.T @ (mx[:, None] * V) / c - np.eye(len(mx))
+        assert np.abs(err).max() <= 1e-12
+        err = V.T @ (kx @ V) / c - np.diag(mu)
+        assert np.abs(err).max() <= 1e-12 * mu.max()
 
 
 def test_meshed_sa_layer_matches_independent_spsolve(ref_stack):
@@ -628,7 +720,7 @@ def test_mesh_without_dirichlet_node_raises_solve_error():
 def test_mirror_plane_carries_zero_flux(ref_stack):
     # the zero-flux plane x = 0 must act as a mirror: solving the mirrored
     # mesh (both halves meshed) gives the half-domain potential on x >= 0.
-    # Its slab rows would be Dirichlet at both x ends: no slab
+    # It has the half mesh's bands, with its separator nodes on both sides
     half_mesh = build_mesh(ref_stack, 1)
     shift = len(half_mesh.x) - 1
     lines = dict(half_mesh.lines)
@@ -643,7 +735,8 @@ def test_mirror_plane_carries_zero_flux(ref_stack):
 
     half = solve_potential(half_mesh)
     full = solve_potential(mirrored)
-    assert full.slab_rows == (0, 0) and full.strip_unknowns == full.unknowns
+    assert full.bands == half.bands
+    assert full.strip_unknowns == 2 * half.strip_unknowns
     np.testing.assert_allclose(full.phi[shift:], half.phi, rtol=0, atol=1e-12)
     # the mirrored mesh counts as the half of a cross section twice as wide
     for region in (RegionId.Substrate, RegionId.Air):
