@@ -538,15 +538,11 @@ def _second_difference(h):
     return (d.T @ sp.diags(1.0 / h) @ d).tocsr(), (h[:-1] + h[1:]) / 2
 
 
-@settings(max_examples=12, deadline=None)
-@given(kind=_kinds, width_um=st.floats(2.0, 20.0), gap_um=st.floats(1.0, 10.0),
-       depth_um=st.floats(0.01, 3.0), level=st.integers(1, 2))
-def test_band_blocks_are_separable(kind, width_um, gap_um, depth_um, level):
-    # on a band's free nodes, A = Kx,e (x) N + Mx,e (x) Ky: the x stiffness
-    # Kx,e of the cell permittivity row e on the band's free nodes (zero
-    # flux at x = 0, held nodes eliminated) and the e-weighted dual lengths
-    # Mx,e, N and Ky those of the band's rows between the rows around it
-    mesh = _random_cross_section(kind, width_um, gap_um, depth_um, level)
+def _assert_band_blocks_separable(mesh):
+    """On a band's free nodes, A = Kx,e (x) N + Mx,e (x) Ky: the x stiffness
+    Kx,e of the cell permittivity row e on the band's free nodes (zero flux
+    at x = 0, held nodes eliminated) and the e-weighted dual lengths Mx,e,
+    N and Ky those of the band's rows between the rows around it."""
     nx, ny = mesh.dirichlet.shape
     hx, hy = np.diff(mesh.x), np.diff(mesh.y)
     eps, _, _, free, phi = _system_inputs(mesh)
@@ -580,6 +576,24 @@ def test_band_blocks_are_separable(kind, width_um, gap_um, depth_um, level):
         assert np.abs(err).max() <= 1e-12
         err = V.T @ (kx @ V) / c - np.diag(mu)
         assert np.abs(err).max() <= 1e-12 * mu.max()
+
+
+@pytest.mark.parametrize("trench", [0.0, 2e-6], ids=["flat", "trench"])
+def test_slab_blocks_are_separable(ref_stack, trench):
+    # the reference layouts have a band in the substrate and one in the air
+    mesh = build_mesh(replace(ref_stack, trench_depth=trench), 2)
+    bands = _bands(mesh)
+    assert len(bands) >= 2
+    assert bands[0][0] == 1 and bands[-1][1] == len(mesh.y) - 2
+    _assert_band_blocks_separable(mesh)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=_kinds, width_um=st.floats(2.0, 20.0), gap_um=st.floats(1.0, 10.0),
+       depth_um=st.floats(0.01, 3.0), level=st.integers(1, 2))
+def test_band_blocks_are_separable(kind, width_um, gap_um, depth_um, level):
+    _assert_band_blocks_separable(
+        _random_cross_section(kind, width_um, gap_um, depth_um, level))
 
 
 def test_meshed_sa_layer_matches_independent_spsolve(ref_stack):
